@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: help check build vet lint vet-json fmt-check test race bench bench-smoke bench-profile alloc-gate fuzz-smoke clockcheck chaos chaos-smoke crash-sweep serve-smoke scrub-smoke shard-smoke examples
+.PHONY: help check build vet lint vet-json fmt-check test race bench bench-smoke bench-profile alloc-gate fuzz-smoke clockcheck chaos chaos-smoke crash-sweep serve-smoke scrub-smoke shard-smoke golden examples
 
 help: ## list targets (static analysis lives in lint = icash-vet)
 	@awk -F':.*## ' '/^[a-z-]+:.*## /{printf "%-12s %s\n", $$1, $$2}' Makefile
@@ -72,6 +72,10 @@ shard-smoke: ## sharded-controller battery under -race: routing, scoreboard equa
 	$(GO) test -race -count=1 -run 'TestShard|TestRunBenchmarkSharded|TestBuildSharded|TestStatsAccumulate' ./internal/core/ ./internal/harness/
 	$(GO) test -race -count=1 -run 'TestShardRouter|TestChaosShard' ./internal/server/ ./internal/fault/chaos/
 	$(GO) run ./cmd/icash-bench -shardsweep -ops 4000
+
+golden: ## rewrite the scoreboard and chaos goldens (testdata/*.golden); explain every moved row in CHANGES.md
+	$(GO) test -count=1 -run '^TestScoreboardGolden$$' ./internal/harness/ -update
+	$(GO) test -count=1 -run '^TestChaosGolden$$' ./internal/fault/chaos/ -update
 
 examples:
 	$(GO) run ./examples/quickstart
