@@ -269,7 +269,7 @@ func realMain() int {
 		wsweep  = flag.Bool("wsweep", false, "print the I-CASH random-write queue-depth scaling table (group-commit batching) and exit")
 		serve   = flag.Bool("serve", false, "print the served-vs-inproc window scaling table (block-service front-end) and exit")
 
-		shards     = flag.Int("shards", 1, "partition I-CASH into this many LBA-range shards, each its own SSD+HDD pair (1 = classic single controller)")
+		shards     = flag.Int("shards", 1, "partition I-CASH into this many LBA-range shards, each its own SSD+HDD pair (1 = one shard over the whole disk)")
 		shardsweep = flag.Bool("shardsweep", false, "print the I-CASH shard-count scaling table (random read + write at QD>=8) and exit")
 		sweepOps   = flag.Int("ops", 0, "sweeps: cap measured operations per point (0 = sweep default)")
 

@@ -41,7 +41,7 @@ func main() {
 		serve  = flag.Bool("serve", false, "drive the array through the block-service front-end")
 		window = flag.Int("window", 8, "serve mode: per-session in-flight window")
 		vms    = flag.Bool("vms", false, "serve mode: one session per VM partition")
-		shards = flag.Int("shards", 1, "partition the array into N LBA-range shards")
+		shards = flag.Int("shards", 1, "partition the array into N LBA-range shards (1 = one shard, the whole disk)")
 	)
 	flag.Parse()
 	harness.SetShards(*shards)
@@ -63,7 +63,7 @@ func main() {
 		}
 		fmt.Print(sr.Report())
 		fmt.Println()
-		dumpController(viewOf(sr.Sys), sr.Stats, sr.Degraded)
+		dumpController(sr.Sys.Sharded, sr.Stats, sr.Degraded)
 		st := ssdTotals(sr.Sys)
 		fmt.Printf("\ndevices: SSD %s (%d host writes, %d erases, WA %.2f)\n",
 			workload.ByteSize(st.HostWrites*blockdev.BlockSize),
@@ -86,80 +86,15 @@ func main() {
 	fmt.Printf("read latency  %s\n", res.ReadHist.String())
 	fmt.Printf("write latency %s\n\n", res.WriteHist.String())
 
-	view := arrayView{single: br.SysICASH, sharded: br.SysSharded}
-	dumpController(view, st, res.Degraded)
+	dumpController(br.SysSharded, st, res.Degraded)
 
 	fmt.Printf("\ndevices: SSD %s (%d host writes, %d erases, WA %.2f), HDD busy %v\n",
 		workload.ByteSize(int64(res.SSDHostWrites)*blockdev.BlockSize),
 		res.SSDHostWrites, res.SSDErases, res.SSDWriteAmp, res.HDDBusy)
 }
 
-// arrayView folds the single-controller and sharded builds into the one
-// read-only surface the dump renders: aggregates come from whichever
-// composition is live, the heatmap spectrum sums across shards, and the
-// sharded form carries the per-shard breakouts.
-type arrayView struct {
-	single  *core.Controller
-	sharded *core.ShardedController
-}
-
-func viewOf(sys *harness.System) arrayView {
-	return arrayView{single: sys.ICASH, sharded: sys.Sharded}
-}
-
-func (v arrayView) kindCounts() core.KindCounts {
-	if v.sharded != nil {
-		return v.sharded.KindCounts()
-	}
-	return v.single.KindCounts()
-}
-
-func (v arrayView) liveSlots() int {
-	if v.sharded != nil {
-		return v.sharded.LiveSlotCount()
-	}
-	return v.single.LiveSlotCount()
-}
-
-func (v arrayView) freeSlots() int {
-	if v.sharded != nil {
-		return v.sharded.FreeSlotCount()
-	}
-	return v.single.FreeSlotCount()
-}
-
-func (v arrayView) deltaRAMUsed() int64 {
-	if v.sharded != nil {
-		return v.sharded.DeltaRAMUsed()
-	}
-	return v.single.DeltaRAMUsed()
-}
-
-func (v arrayView) poisonedBlocks() int {
-	if v.sharded != nil {
-		return v.sharded.PoisonedBlocks()
-	}
-	return v.single.PoisonedBlocks()
-}
-
-// heatValue sums one heatmap cell across every shard's controller.
-func (v arrayView) heatValue(row int, col byte) uint64 {
-	if v.sharded != nil {
-		var total uint64
-		for _, sh := range v.sharded.Shards() {
-			total += sh.Heatmap().Value(row, col)
-		}
-		return total
-	}
-	return v.single.Heatmap().Value(row, col)
-}
-
-// ssdTotals aggregates flash accounting across however many SSDs the
-// build has (one per shard on sharded builds).
+// ssdTotals sums flash accounting across the array's per-shard SSDs.
 func ssdTotals(sys *harness.System) *ssd.Stats {
-	if sys.SSD != nil {
-		return &sys.SSD.Stats
-	}
 	var total ssd.Stats
 	for _, dev := range sys.SSDs {
 		total.Accumulate(&dev.Stats)
@@ -169,20 +104,18 @@ func ssdTotals(sys *harness.System) *ssd.Stats {
 
 // dumpController renders the controller-internal sections shared by the
 // direct and served paths: block mix, delta accounting, I/O paths,
-// reference management, journal (with a per-shard breakout on sharded
-// builds), resilience, evictions, and the heatmap spectrum.
-func dumpController(v arrayView, st *core.Stats, degraded bool) {
+// reference management, journal (with its per-shard breakout),
+// resilience, evictions, and the heatmap spectrum summed across shards.
+func dumpController(sc *core.ShardedController, st *core.Stats, degraded bool) {
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	kinds := v.kindCounts()
+	kinds := sc.KindCounts()
 	ref, assoc, indep := kinds.Fractions()
 	fmt.Fprintf(w, "block mix\treference %d (%.0f%%)\tassociate %d (%.0f%%)\tindependent %d (%.0f%%)\n",
 		kinds.Reference, 100*ref, kinds.Associate, 100*assoc, kinds.Independent, 100*indep)
-	fmt.Fprintf(w, "SSD slots\tlive %d\tfree %d\t\n", v.liveSlots(), v.freeSlots())
+	fmt.Fprintf(w, "SSD slots\tlive %d\tfree %d\t\n", sc.LiveSlotCount(), sc.FreeSlotCount())
 	fmt.Fprintf(w, "delta RAM\t%s in use\tavg delta %.0fB\t%d deltas accepted\n",
-		workload.ByteSize(v.deltaRAMUsed()), st.AvgDeltaSize(), st.DeltaCount)
-	if sc := v.sharded; sc != nil {
-		fmt.Fprintf(w, "shards\t%d x %d blocks\t\t\n", sc.NumShards(), sc.ShardBlocks())
-	}
+		workload.ByteSize(sc.DeltaRAMUsed()), st.AvgDeltaSize(), st.DeltaCount)
+	fmt.Fprintf(w, "shards\t%d x %d blocks\t\t\n", sc.NumShards(), sc.ShardBlocks())
 	w.Flush()
 
 	fmt.Println("\ndelta size distribution (accepted deltas):")
@@ -234,20 +167,18 @@ func dumpController(v arrayView, st *core.Stats, degraded bool) {
 		fmt.Printf("  avg batch %s over %d txns\n",
 			workload.ByteSize(st.GroupCommitBytes/st.TxnsCommitted), st.TxnsCommitted)
 	}
-	if sc := v.sharded; sc != nil {
-		// Each shard runs its own group-commit chain; the aggregate
-		// above is their sum, and the breakout shows whether the LBA
-		// routing spread the commit load or funneled it.
-		fmt.Println("  per-shard chains:")
-		for i := 0; i < sc.NumShards(); i++ {
-			ss := sc.Shard(i).Stats
-			fmt.Printf("    s%d\ttxns=%d\tbytes=%s", i, ss.TxnsCommitted,
-				workload.ByteSize(ss.GroupCommitBytes))
-			if ss.TxnsCommitted > 0 {
-				fmt.Printf("\tavg batch %s", workload.ByteSize(ss.GroupCommitBytes/ss.TxnsCommitted))
-			}
-			fmt.Println()
+	// Each shard runs its own group-commit chain; the aggregate above
+	// is their sum, and the breakout shows whether the LBA routing
+	// spread the commit load or funneled it.
+	fmt.Println("  per-shard chains:")
+	for i, sh := range sc.Shards() {
+		ss := sh.Stats
+		fmt.Printf("    s%d\ttxns=%d\tbytes=%s", i, ss.TxnsCommitted,
+			workload.ByteSize(ss.GroupCommitBytes))
+		if ss.TxnsCommitted > 0 {
+			fmt.Printf("\tavg batch %s", workload.ByteSize(ss.GroupCommitBytes/ss.TxnsCommitted))
 		}
+		fmt.Println()
 	}
 
 	fmt.Println("\nresilience (fault handling and self-healing):")
@@ -266,7 +197,7 @@ func dumpController(v arrayView, st *core.Stats, degraded bool) {
 	} else {
 		fmt.Println("  no corruption observed, scrubber idle")
 	}
-	if n := v.poisonedBlocks(); n > 0 {
+	if n := sc.PoisonedBlocks(); n > 0 {
 		fmt.Printf("  ** %d blocks poisoned (unrepairable; awaiting overwrite) **\n", n)
 	}
 
@@ -285,7 +216,11 @@ func dumpController(v arrayView, st *core.Stats, degraded bool) {
 		}
 		var top []hv
 		for c := 0; c < 256; c++ {
-			if p := v.heatValue(row, byte(c)); p > 0 {
+			var p uint64
+			for _, sh := range sc.Shards() {
+				p += sh.Heatmap().Value(row, byte(c))
+			}
+			if p > 0 {
 				top = append(top, hv{byte(c), p})
 			}
 		}

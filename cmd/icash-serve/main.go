@@ -24,7 +24,6 @@ import (
 
 	"icash/internal/harness"
 	"icash/internal/server"
-	"icash/internal/sim"
 	"icash/internal/workload"
 )
 
@@ -41,7 +40,7 @@ func realMain() int {
 		vms    = flag.Bool("vms", false, "serve multi-VM profiles as one session per VM partition")
 		ops    = flag.Int("ops", 0, "cap generated requests (0 = profile default)")
 		listen = flag.String("listen", "", "serve the framed protocol on a real TCP address instead of simulating clients")
-		shards = flag.Int("shards", 1, "partition the array into N LBA-range shards; sessions on different shards serve in parallel")
+		shards = flag.Int("shards", 1, "partition the array into N LBA-range shards (1 = one shard, the whole disk); sessions on different shards serve in parallel")
 	)
 	flag.Parse()
 	harness.SetShards(*shards)
@@ -72,22 +71,6 @@ func realMain() int {
 	return 0
 }
 
-// sysBackend exposes a harness System as a server.Backend.
-type sysBackend struct {
-	sys *harness.System
-}
-
-func (b sysBackend) ReadBlock(lba int64, buf []byte) (sim.Duration, error) {
-	return b.sys.Dev.ReadBlock(lba, buf)
-}
-
-func (b sysBackend) WriteBlock(lba int64, buf []byte) (sim.Duration, error) {
-	return b.sys.Dev.WriteBlock(lba, buf)
-}
-
-func (b sysBackend) Flush() error  { return b.sys.Flush() }
-func (b sysBackend) Blocks() int64 { return b.sys.Dev.Blocks() }
-
 // serveListen builds and populates the array, then serves the framed
 // protocol to real TCP clients until interrupted. Connections register
 // with a server.Registry so shutdown can drain: when the listener dies,
@@ -106,15 +89,11 @@ func serveListen(addr string, p workload.Profile, opts workload.Options, window 
 	}
 	// Per-shard backends under the router: sessions whose partitions
 	// land on different shards serve concurrently, each shard still
-	// single-threaded behind its lockmap address. An unsharded build is
-	// the degenerate one-shard case — one address, the old funnel.
+	// single-threaded behind its lockmap address. A one-shard array is
+	// one address: every session funnels through it.
 	var routed []server.Backend
-	if sc := sys.Sharded; sc != nil {
-		for i := 0; i < sc.NumShards(); i++ {
-			routed = append(routed, sc.Shard(i))
-		}
-	} else {
-		routed = []server.Backend{sysBackend{sys: sys}}
+	for _, sh := range sys.Sharded.Shards() {
+		routed = append(routed, sh)
 	}
 	backend, err := server.NewShardRouter(routed)
 	if err != nil {

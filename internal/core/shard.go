@@ -58,6 +58,19 @@ func NewSharded(shards []*Controller) (*ShardedController, error) {
 	}, nil
 }
 
+// ShardNamespace returns the station namespace of shard i in an array
+// of n shards: "" when the array has one shard, "s<i>." otherwise. It
+// is the one place station, fault-station and corruption-report names
+// get their shard prefix, so a one-shard array keeps the plain device
+// names ("ssd.ch0", "hdd0", "ssd") and every fault plan, detector name
+// and report line written against them.
+func ShardNamespace(n, i int) string {
+	if n <= 1 {
+		return ""
+	}
+	return fmt.Sprintf("s%d.", i)
+}
+
 // NumShards returns the shard count.
 func (s *ShardedController) NumShards() int { return len(s.shards) }
 
@@ -216,11 +229,12 @@ func (s *ShardedController) SetScrub(cfg ScrubConfig) {
 }
 
 // SetCorruptionHook installs fn on every shard, prefixing the device
-// name with the shard's station namespace ("s2.ssd") so a chaos oracle
-// can attribute a detection to the one faulted shard.
+// name with the shard's station namespace ("s2.ssd"; see
+// ShardNamespace) so a chaos oracle can attribute a detection to the
+// one faulted shard.
 func (s *ShardedController) SetCorruptionHook(fn func(dev string, devLBA int64)) {
 	for i, sh := range s.shards {
-		prefix := fmt.Sprintf("s%d.", i)
+		prefix := ShardNamespace(len(s.shards), i)
 		sh.SetCorruptionHook(func(dev string, devLBA int64) { fn(prefix+dev, devLBA) })
 	}
 }

@@ -213,3 +213,19 @@ func TestStatsAccumulate(t *testing.T) {
 		t.Errorf("Accumulate mutated its source: %+v", b)
 	}
 }
+
+func TestShardNamespace(t *testing.T) {
+	for _, tc := range []struct {
+		n, i int
+		want string
+	}{
+		{0, 0, ""},
+		{1, 0, ""},
+		{2, 0, "s0."},
+		{4, 3, "s3."},
+	} {
+		if got := ShardNamespace(tc.n, tc.i); got != tc.want {
+			t.Errorf("ShardNamespace(%d, %d) = %q, want %q", tc.n, tc.i, got, tc.want)
+		}
+	}
+}

@@ -75,12 +75,12 @@ type Config struct {
 	ScrubInterval sim.Duration
 
 	// Shards partitions the array into N LBA-range shards (0 or 1 =
-	// the classic single-controller build). Every fault — fail-slow
-	// windows, probabilistic fail-stop rates, silent corruption — lands
-	// on shard 0 only, under its "s0." station namespace: the soak then
-	// checks both that the faulted shard's loss stays accounted and
-	// that the blast radius stops at the shard boundary (the other
-	// shards' invariants must hold with zero fault traffic).
+	// one shard). Every fault — fail-slow windows, probabilistic
+	// fail-stop rates, silent corruption — lands on shard 0 only, under
+	// its station namespace ("s0." once there are several shards): the
+	// soak then checks both that the faulted shard's loss stays
+	// accounted and that the blast radius stops at the shard boundary
+	// (the other shards' invariants must hold with zero fault traffic).
 	Shards int
 }
 
@@ -299,6 +299,7 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	clock := sys.Clock
+	arr := sys.Sharded
 
 	// Populate: every block written once at version 1, fault-free (the
 	// plan has no windows yet and the probabilistic rates are armed
@@ -323,12 +324,7 @@ func Run(cfg Config) (*Result, error) {
 	// Arm the background scrubber for the measured phase (SetScrub
 	// re-anchors the schedule at the next request).
 	if cfg.ScrubInterval > 0 {
-		scrub := core.ScrubConfig{Interval: cfg.ScrubInterval}
-		if sys.Sharded != nil {
-			sys.Sharded.SetScrub(scrub)
-		} else {
-			sys.ICASH.SetScrub(scrub)
-		}
+		arr.SetScrub(core.ScrubConfig{Interval: cfg.ScrubInterval})
 	}
 
 	// Arm the probabilistic fail-stop rates for the measured phase.
@@ -352,17 +348,17 @@ func Run(cfg Config) (*Result, error) {
 		} else {
 			plan.Windows = genPlan(cfg.Seed, start, horizon)
 		}
-		if cfg.Shards > 1 {
-			// Sharded station names live under per-shard namespaces
+		if ns := core.ShardNamespace(arr.NumShards(), 0); ns != "" {
+			// Multi-shard station names live under per-shard namespaces
 			// ("s0.ssd.ch0"); scope every window to the faulted shard so
 			// the schedule keeps matching — and only that shard slows.
 			for i := range plan.Windows {
 				if plan.Windows[i].Station == "" {
 					// "every station" scopes to "every station of the
 					// faulted shard" ("s0" dotted-prefix-matches them all).
-					plan.Windows[i].Station = "s0"
+					plan.Windows[i].Station = strings.TrimSuffix(ns, ".")
 				} else {
-					plan.Windows[i].Station = "s0." + plan.Windows[i].Station
+					plan.Windows[i].Station = ns + plan.Windows[i].Station
 				}
 			}
 		}
@@ -407,7 +403,7 @@ func Run(cfg Config) (*Result, error) {
 	// between injection and detection is the silent corruption's
 	// host-visible exposure window.
 	corruptionHook := func(dev string, devLBA int64) {
-		// Sharded controllers report under their station namespace
+		// Multi-shard arrays report under the station namespace
 		// ("s0.ssd"); only shard 0 carries fault wrappers, so strip the
 		// prefix and attribute as usual. A detection on any other shard
 		// matches no outstanding injection and records nothing — which
@@ -433,11 +429,7 @@ func Run(cfg Config) (*Result, error) {
 			res.DetectLat.Record(clock.Now().Sub(t))
 		}
 	}
-	if sys.Sharded != nil {
-		sys.Sharded.SetCorruptionHook(corruptionHook)
-	} else {
-		sys.ICASH.SetCorruptionHook(corruptionHook)
-	}
+	arr.SetCorruptionHook(corruptionHook)
 
 	rng := sim.NewRand(cfg.Seed ^ 0x5eed_0fca_0c4a_0001)
 	sch := event.NewScheduler(clock)
@@ -534,13 +526,8 @@ func Run(cfg Config) (*Result, error) {
 	res.Elapsed = clock.Now().Sub(start)
 
 	// Collect accounting.
-	if sys.Sharded != nil {
-		res.Stats = sys.Sharded.Stats()
-		res.Quarantined = sys.Sharded.SSDQuarantined()
-	} else {
-		res.Stats = sys.ICASH.Stats
-		res.Quarantined = sys.ICASH.SSDQuarantined()
-	}
+	res.Stats = arr.Stats()
+	res.Quarantined = arr.SSDQuarantined()
 	res.SSDFault = sys.SSDFault.Stats
 	res.HDDFault = sys.HDDFault.Stats
 	if sys.Detector != nil {
@@ -557,24 +544,15 @@ func Run(cfg Config) (*Result, error) {
 		res.Stats.DroppedLogRecs
 	res.SilentUncaught = int64(sys.SSDFault.SilentOutstanding() + sys.HDDFault.SilentOutstanding())
 
-	// Verdicts: structural invariants, then the silent-loss bound. On a
-	// sharded build every shard is checked — the unfaulted shards'
-	// invariants holding is the blast-radius half of the claim.
-	if sys.Sharded != nil {
-		if err := sys.Sharded.CheckInvariants(); err != nil {
-			return res, fmt.Errorf("chaos: seed %d: controller invariants: %w", cfg.Seed, err)
-		}
-		for i, sdev := range sys.SSDs {
-			if err := sdev.CheckInvariants(); err != nil {
-				return res, fmt.Errorf("chaos: seed %d: shard %d ssd invariants: %w", cfg.Seed, i, err)
-			}
-		}
-	} else {
-		if err := sys.ICASH.CheckInvariants(); err != nil {
-			return res, fmt.Errorf("chaos: seed %d: controller invariants: %w", cfg.Seed, err)
-		}
-		if err := sys.SSD.CheckInvariants(); err != nil {
-			return res, fmt.Errorf("chaos: seed %d: ssd invariants: %w", cfg.Seed, err)
+	// Verdicts: structural invariants, then the silent-loss bound.
+	// Every shard is checked — the unfaulted shards' invariants holding
+	// is the blast-radius half of the claim.
+	if err := arr.CheckInvariants(); err != nil {
+		return res, fmt.Errorf("chaos: seed %d: controller invariants: %w", cfg.Seed, err)
+	}
+	for i, sdev := range sys.SSDs {
+		if err := sdev.CheckInvariants(); err != nil {
+			return res, fmt.Errorf("chaos: seed %d: shard %d ssd invariants: %w", cfg.Seed, i, err)
 		}
 	}
 	if res.WrongLBAs > res.AccountedLoss {

@@ -26,7 +26,7 @@ func withParallelism(t *testing.T, n int, fn func()) {
 }
 
 // resultsOf strips a BenchmarkRun to its comparable payload: the
-// per-system Results in order. SysICASH is a live controller handle
+// per-system Results in order. SysSharded is a live controller handle
 // (pointer identity differs run to run) and is excluded.
 func resultsOf(br *BenchmarkRun) []*Result {
 	out := make([]*Result, 0, len(br.Order))

@@ -87,8 +87,10 @@ type Result struct {
 // §4.4): by the time measurement starts the storage system has seen the
 // data, I-CASH has selected references, and caches hold their steady
 // working sets. Populate time and device activity are not measured.
+// I-CASH populates through the per-shard fan (populateSharded); the
+// serial loop below serves the four baseline systems.
 func Populate(sys *System, gen *workload.Generator) error {
-	if sys.Sharded != nil && sys.Sharded.NumShards() > 1 {
+	if sys.Sharded != nil {
 		return populateSharded(sys, gen)
 	}
 	buf := blockdev.GetBlock()
@@ -121,10 +123,13 @@ func Populate(sys *System, gen *workload.Generator) error {
 //     path reads it, and the scrubber — the controller's only clock
 //     reader — cannot fire at a frozen instant); the serial populate's
 //     total advance (10 µs per block) is applied once after the join;
-//   - each worker uses a fresh generator clone: Fill is deterministic
-//     per (profile, options, lba) but memoizes family bases, so clones
-//     keep the oracle race-free, and each shard's devices get the
-//     clone's fill through the shard-local translation.
+//   - shard 0 fills from the caller's generator and every other shard
+//     from a fresh clone: Fill is deterministic per (profile, options,
+//     lba) but memoizes family bases, so clones keep the oracle
+//     race-free, and each shard's devices get its generator's fill
+//     through the shard-local translation. Shard 0 uses the caller's
+//     generator so the run that follows starts with a warm memo rather
+//     than rebuilding every family base it touches.
 func populateSharded(sys *System, gen *workload.Generator) error {
 	sc := sys.Sharded
 	per := sc.ShardBlocks()
@@ -134,7 +139,10 @@ func populateSharded(sys *System, gen *workload.Generator) error {
 	}
 	p, opts := gen.Profile(), gen.Options()
 	err := ForEachPoint(sc.NumShards(), func(i int) error {
-		g := workload.NewGenerator(p, opts)
+		g := gen
+		if i > 0 {
+			g = workload.NewGenerator(p, opts)
+		}
 		sys.SetShardFill(i, g.Fill)
 		lo, hi := int64(i)*per, int64(i+1)*per
 		if hi > n {
@@ -314,12 +322,7 @@ func finalize(sys *System, res *Result, p workload.Profile, start sim.Time) {
 	usage.HDDBusy = res.HDDBusy
 	res.WattHours = power.DefaultModel().WattHours(usage)
 
-	if sys.ICASH != nil {
-		st := sys.ICASH.Stats
-		res.ICASHStats = &st
-		res.KindCounts = sys.ICASH.KindCounts()
-		res.Degraded = sys.ICASH.Degraded()
-	} else if sys.Sharded != nil {
+	if sys.Sharded != nil {
 		st := sys.Sharded.Stats()
 		res.ICASHStats = &st
 		res.KindCounts = sys.Sharded.KindCounts()
@@ -341,12 +344,9 @@ type BenchmarkRun struct {
 	Opts    workload.Options
 	Order   []Kind
 	Results map[Kind]*Result
-	// SysICASH keeps the I-CASH controller handle for inspection tools
-	// (nil on sharded runs; SysSharded carries the composed handle then).
-	SysICASH *core.Controller
-	// SysSharded is the composed sharded controller when the run built
-	// with Shards > 1; inspection tools break out per-shard state from
-	// it.
+	// SysSharded is the I-CASH array when the run included I-CASH;
+	// inspection tools read its aggregates and break out per-shard
+	// state from it.
 	SysSharded *core.ShardedController
 }
 
@@ -388,7 +388,6 @@ func ConfigForProfile(p workload.Profile, opts workload.Options) BuildConfig {
 // pointResult is the output of one independent experiment point.
 type pointResult struct {
 	res     *Result
-	icash   *core.Controller
 	sharded *core.ShardedController
 }
 
@@ -411,7 +410,7 @@ func runPoint(p workload.Profile, opts workload.Options, cfg BuildConfig, k Kind
 	if err != nil {
 		return pointResult{}, fmt.Errorf("harness: %s on %s: %w", p.Name, k, err)
 	}
-	return pointResult{res: res, icash: sys.ICASH, sharded: sys.Sharded}, nil
+	return pointResult{res: res, sharded: sys.Sharded}, nil
 }
 
 // RunBenchmark executes profile p on each requested system (all five
@@ -439,9 +438,6 @@ func RunBenchmark(p workload.Profile, opts workload.Options, systems []Kind) (*B
 	}
 	for i, k := range systems {
 		br.Results[k] = points[i].res
-		if points[i].icash != nil {
-			br.SysICASH = points[i].icash
-		}
 		if points[i].sharded != nil {
 			br.SysSharded = points[i].sharded
 		}

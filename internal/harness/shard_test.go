@@ -141,37 +141,68 @@ func TestShardedPopulateMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestBuildShardedShapes checks the one I-CASH build path at 0, 1 and
+// 4 shards: shard count, per-shard slices, the deprecated ICASH handle
+// staying nil, and the station namespace rule (plain names on a
+// one-shard array, "s<i>." prefixes once there are several).
 func TestBuildShardedShapes(t *testing.T) {
-	cfg := BuildConfig{DataBlocks: 4096, Shards: 4, VMImageBlocks: 96}
-	sys, err := Build(ICASH, cfg)
-	if err != nil {
-		t.Fatalf("build: %v", err)
-	}
-	sc := sys.Sharded
-	if sc == nil {
-		t.Fatal("Sharded not set")
-	}
-	if sys.ICASH != nil {
-		t.Error("ICASH handle should be nil on a sharded build")
-	}
-	// 4096/4 = 1024, aligned up to a multiple of 96 -> 1056.
-	if sc.ShardBlocks() != 1056 {
-		t.Errorf("ShardBlocks = %d, want 1056 (1024 aligned to 96)", sc.ShardBlocks())
-	}
-	if len(sys.SSDs) != 4 || len(sys.HDDs) != 4 || len(sys.ShardCPUs) != 4 {
-		t.Errorf("per-shard slices sized %d/%d/%d, want 4/4/4",
-			len(sys.SSDs), len(sys.HDDs), len(sys.ShardCPUs))
-	}
-	// Station namespaces: every station name carries its shard prefix.
-	for _, st := range sys.Stations {
-		name := st.Name()
-		if name[0] != 's' {
-			t.Errorf("station %q lacks a shard prefix", name)
-		}
-	}
-	wantStations := 4 * (4 + 1) // 4 channels + 1 actuator per shard
-	if len(sys.Stations) != wantStations {
-		t.Errorf("stations = %d, want %d", len(sys.Stations), wantStations)
+	for _, tc := range []struct {
+		shards     int
+		wantShards int
+		// shardBlocks is the per-shard size: the whole disk on one
+		// shard; 4096/4 = 1024 aligned up to a multiple of 96 on four.
+		shardBlocks int64
+		stations    []string
+	}{
+		{0, 1, 4096, []string{"ssd.ch0", "ssd.ch1", "ssd.ch2", "ssd.ch3", "hdd0"}},
+		{1, 1, 4096, []string{"ssd.ch0", "ssd.ch1", "ssd.ch2", "ssd.ch3", "hdd0"}},
+		{4, 4, 1056, nil},
+	} {
+		t.Run(fmt.Sprintf("shards=%d", tc.shards), func(t *testing.T) {
+			cfg := BuildConfig{DataBlocks: 4096, Shards: tc.shards, VMImageBlocks: 96}
+			sys, err := Build(ICASH, cfg)
+			if err != nil {
+				t.Fatalf("build: %v", err)
+			}
+			sc := sys.Sharded
+			if sc == nil {
+				t.Fatal("Sharded not set")
+			}
+			if sys.ICASH != nil {
+				t.Error("the deprecated ICASH handle must stay nil")
+			}
+			if sc.NumShards() != tc.wantShards {
+				t.Errorf("NumShards = %d, want %d", sc.NumShards(), tc.wantShards)
+			}
+			if sc.ShardBlocks() != tc.shardBlocks {
+				t.Errorf("ShardBlocks = %d, want %d", sc.ShardBlocks(), tc.shardBlocks)
+			}
+			n := tc.wantShards
+			if len(sys.SSDs) != n || len(sys.HDDs) != n || len(sys.ShardCPUs) != n {
+				t.Errorf("per-shard slices sized %d/%d/%d, want %d each",
+					len(sys.SSDs), len(sys.HDDs), len(sys.ShardCPUs), n)
+			}
+			wantStations := n * (4 + 1) // 4 channels + 1 actuator per shard
+			if len(sys.Stations) != wantStations {
+				t.Errorf("stations = %d, want %d", len(sys.Stations), wantStations)
+			}
+			var names []string
+			for _, st := range sys.Stations {
+				names = append(names, st.Name())
+			}
+			if tc.stations != nil {
+				if !reflect.DeepEqual(names, tc.stations) {
+					t.Errorf("stations = %q, want %q", names, tc.stations)
+				}
+				return
+			}
+			// Several shards: every station name carries its shard prefix.
+			for _, name := range names {
+				if name[0] != 's' || name[2] != '.' {
+					t.Errorf("station %q lacks a shard prefix", name)
+				}
+			}
+		})
 	}
 }
 
@@ -185,7 +216,7 @@ func TestShardSweepScaling(t *testing.T) {
 		t.Fatalf("ShardSweep: %v", err)
 	}
 	// The acceptance bound: 4 shards must at least double both the
-	// random-read and random-write throughput of the single-controller
+	// random-read and random-write throughput of the one-shard
 	// build at QD>=8. Parse the speedup column of each table's last row.
 	var speedups []float64
 	for _, line := range splitLines(out) {

@@ -6,13 +6,13 @@ import "sync/atomic"
 // package-level knob the command-line front ends set once, consumed by
 // benchConfig so every build path — RunBenchmark, the QD sweeps, the
 // block-service front end via ConfigForProfile — shards identically.
-// The default (1) takes the classic single-controller build, byte-
-// identical to the pre-sharding harness.
+// The default (1) builds a one-shard array, byte-identical to the
+// pre-sharding harness.
 
 var shardCount atomic.Int32
 
 // SetShards sets how many LBA-range shards the I-CASH builds use.
-// n <= 1 restores the classic single-controller stack.
+// n <= 1 restores the one-shard array.
 func SetShards(n int) {
 	if n < 1 {
 		n = 1

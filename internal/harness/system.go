@@ -70,26 +70,24 @@ type BuildConfig struct {
 	VMImageBlocks int64
 	// RAIDDisks is the stripe width (the paper uses 4).
 	RAIDDisks int
-	// Shards partitions the I-CASH controller into that many
-	// independent LBA-range shards, each a full controller over its own
-	// SSD+HDD pair, composed under the one clock (<= 1 builds the
-	// classic single instance; ignored for the baseline systems). When
-	// VMImageBlocks is set the per-shard size is aligned up to it, so a
-	// VM image never straddles shards.
+	// Shards partitions the I-CASH array into that many independent
+	// LBA-range shards, each a full controller over its own SSD+HDD
+	// pair, composed under the one clock (<= 1 builds one shard;
+	// ignored for the baseline systems). With more than one shard the
+	// per-shard size is aligned up to VMImageBlocks when that is set,
+	// so a VM image never straddles shards.
 	Shards int
-	// FaultShard selects which shard the FaultSSD/FaultHDD injectors
-	// attach to when Shards > 1 (default shard 0). Faults are a
-	// per-device phenomenon, and pinning them to one shard is what the
-	// blast-radius experiments measure: the other shards keep serving.
-	FaultShard int
 	// Tune overrides I-CASH controller parameters after the harness
 	// defaults are applied (ablation studies).
 	Tune func(*core.Config)
 
 	// FaultSSD and FaultHDD, when non-nil, interpose deterministic
-	// fault injectors between the I-CASH controller and its devices
-	// (robustness experiments; ignored for the baseline systems). Their
-	// Clock and default Station names are filled in by Build; a Plan on
+	// fault injectors between shard 0's controller and its devices
+	// (robustness experiments; ignored for the baseline systems).
+	// Faults are a per-device phenomenon, and pinning them to one shard
+	// is what the blast-radius experiments measure: the other shards
+	// keep serving. Their Clock and default Station names (under shard
+	// 0's station namespace) are filled in by Build; a Plan on
 	// either config is additionally installed as a station shaper, so
 	// fail-slow windows inflate both the controller-visible latency and
 	// the station occupancy under QD>1.
@@ -124,27 +122,33 @@ type System struct {
 	CPU   *cpumodel.Accountant
 	Dev   blockdev.Device
 
-	// Component handles for statistics; nil when absent.
+	// Component handles for statistics; nil when absent. SSD is a
+	// baseline system's one SSD; I-CASH's SSDs are in SSDs.
 	SSD   *ssd.Device
 	HDDs  []*hdd.Device
-	ICASH *core.Controller
 	LRUc  *baseline.LRUCache
 	Dedup *baseline.DedupCache
 	Pure  *baseline.PureSSD
 	RAID  *raid.Array0
 
-	// Sharded is the composed controller when the build asked for
-	// Shards > 1; ICASH is nil then, and shard i's SSD and HDD are
-	// SSDs[i] and HDDs[i]. ShardCPUs holds one storage accountant per
-	// shard — per-shard so the parallel populate fan never shares a
-	// mutable accountant across workers; the aggregate views below sum
-	// them with the system accountant.
+	// ICASH is always nil: every I-CASH build is a ShardedController
+	// (Sharded below), one shard when Shards <= 1.
+	//
+	// Deprecated: kept only because the perfbench module still reads
+	// it. Read Sharded instead.
+	ICASH *core.Controller
+
+	// Sharded is the I-CASH array, one shard or more; shard i's SSD and
+	// HDD are SSDs[i] and HDDs[i]. ShardCPUs holds one storage
+	// accountant per shard — per-shard so the parallel populate fan
+	// never shares a mutable accountant across workers; the aggregate
+	// views below sum them with the system accountant.
 	Sharded   *core.ShardedController
 	SSDs      []*ssd.Device
 	ShardCPUs []*cpumodel.Accountant
 	// shardSSDNames caches the per-shard SSD station prefixes
-	// ("s0.ssd", ...) so the per-request detector poll allocates
-	// nothing.
+	// ("ssd" on one shard, "s0.ssd", ... on more) so the per-request
+	// detector poll allocates nothing.
 	shardSSDNames []string
 
 	// SSDFault and HDDFault are the fault injectors when the build
@@ -190,9 +194,6 @@ func (s *System) ResetStats() {
 	for _, h := range s.HDDs {
 		h.ResetStats()
 	}
-	if s.ICASH != nil {
-		s.ICASH.ResetStats()
-	}
 	if s.Sharded != nil {
 		s.Sharded.ResetStats()
 	}
@@ -223,9 +224,9 @@ func (s *System) ResetStats() {
 	}
 }
 
-// ssdStats returns the device-level SSD accounting: the single SSD's
-// stats on a classic stack, the sum across per-shard SSDs on a sharded
-// one, nil when the stack has no SSD (RAID0).
+// ssdStats returns the device-level SSD accounting: a baseline's one
+// SSD, the sum across I-CASH's per-shard SSDs, nil when the stack has
+// no SSD (RAID0).
 func (s *System) ssdStats() *ssd.Stats {
 	if s.SSD != nil {
 		st := s.SSD.Stats
@@ -316,16 +317,19 @@ func (s *System) instrument(cfg BuildConfig) {
 		h.Instrument(s.Tracer, srv)
 	}
 	if s.Sharded != nil {
-		// Sharded stack: shard i's stations live under the "s<i>."
-		// prefix, so a fault window or detector verdict scoped to
-		// "s0.ssd" touches exactly one shard's channels (the schedule
-		// and detector both match dotted prefixes).
+		// I-CASH: shard i's stations live under its namespace, so on a
+		// multi-shard array a fault window or detector verdict scoped
+		// to "s0.ssd" touches exactly one shard's channels (the
+		// schedule and detector both match dotted prefixes). A
+		// one-shard array keeps the plain names.
+		n := s.Sharded.NumShards()
 		for i, dev := range s.SSDs {
-			s.shardSSDNames = append(s.shardSSDNames, fmt.Sprintf("s%d.ssd", i))
-			addSSD(dev, fmt.Sprintf("s%d.", i))
+			ns := core.ShardNamespace(n, i)
+			s.shardSSDNames = append(s.shardSSDNames, ns+"ssd")
+			addSSD(dev, ns)
 		}
 		for i, h := range s.HDDs {
-			addHDD(h, fmt.Sprintf("s%d.hdd0", i))
+			addHDD(h, core.ShardNamespace(n, i)+"hdd0")
 		}
 		return
 	}
@@ -338,9 +342,9 @@ func (s *System) instrument(cfg BuildConfig) {
 }
 
 // SetFill installs the workload's initial-content oracle on every
-// device in the stack. On a sharded stack each shard's devices see
-// shard-local LBAs, so the oracle is installed through the routing
-// translation (global = shard base + local).
+// device in the stack. Each I-CASH shard's devices see shard-local
+// LBAs, so the oracle is installed through the routing translation
+// (global = shard base + local).
 func (s *System) SetFill(f blockdev.FillFunc) {
 	if s.Sharded != nil {
 		for i := range s.SSDs {
@@ -431,49 +435,9 @@ func Build(kind Kind, cfg BuildConfig) (*System, error) {
 		s.flush = c.Flush
 
 	case ICASH:
-		if cfg.Shards > 1 {
-			if err := buildShardedICASH(s, cfg); err != nil {
-				return nil, err
-			}
-			break
-		}
-		ssdBlocks := cacheBlocks(cfg)
-		ccfg := icashConfig(cfg.DataBlocks, ssdBlocks,
-			orDefault(cfg.DeltaRAMBytes, 32<<20), orDefault(cfg.DataRAMBytes, 32<<20),
-			cfg.VMImageBlocks)
-		s.SSD = ssd.New(cachePartitionConfig(ssdBlocks))
-		h := hdd.New(hdd.DefaultConfig(cfg.DataBlocks + ccfg.LogBlocks))
-		s.HDDs = []*hdd.Device{h}
-		if cfg.Tune != nil {
-			cfg.Tune(&ccfg)
-		}
-		var ssdDev, hddDev blockdev.Device = s.SSD, h
-		if cfg.FaultSSD != nil {
-			fc := *cfg.FaultSSD
-			fc.Clock = clock
-			if fc.Station == "" {
-				fc.Station = "ssd"
-			}
-			s.SSDFault = fault.Wrap(ssdDev, fc)
-			ssdDev = s.SSDFault
-		}
-		if cfg.FaultHDD != nil {
-			fc := *cfg.FaultHDD
-			fc.Clock = clock
-			if fc.Station == "" {
-				fc.Station = "hdd0"
-			}
-			s.HDDFault = fault.Wrap(hddDev, fc)
-			hddDev = s.HDDFault
-		}
-		ctrl, err := core.New(ccfg, ssdDev, hddDev, clock, cpu)
-		if err != nil {
+		if err := buildShardedICASH(s, cfg); err != nil {
 			return nil, err
 		}
-		ctrl.SetScrub(cfg.Scrub)
-		s.ICASH = ctrl
-		s.Dev = ctrl
-		s.flush = ctrl.Flush
 
 	default:
 		return nil, fmt.Errorf("harness: unknown system kind %d", kind)
@@ -487,29 +451,22 @@ func Build(kind Kind, cfg BuildConfig) (*System, error) {
 // concurrent runner calls it after every replayed block, so a flagged
 // station sidetracks the SSD within one request and a recovered one
 // re-admits it just as promptly. No-op when the build did not ask for
-// a detector or the system is not I-CASH.
+// a detector or the system is not I-CASH. Quarantine is per shard: a
+// slow channel on s0's SSD sidetracks only s0; the other shards keep
+// their read path.
 func (s *System) PollDetector() {
-	if s.Detector == nil {
+	if s.Detector == nil || s.Sharded == nil {
 		return
 	}
-	if s.Sharded != nil {
-		// Quarantine is per shard: a slow channel on s0's SSD
-		// sidetracks only s0; the other shards keep their read path.
-		for i, name := range s.shardSSDNames {
-			s.Sharded.Shard(i).SetSSDQuarantined(s.Detector.AnySlow(name))
-		}
-		return
+	for i, name := range s.shardSSDNames {
+		s.Sharded.Shard(i).SetSSDQuarantined(s.Detector.AnySlow(name))
 	}
-	if s.ICASH == nil {
-		return
-	}
-	s.ICASH.SetSSDQuarantined(s.Detector.AnySlow("ssd"))
 }
 
 // icashConfig sizes one I-CASH controller over dataBlocks virtual
-// blocks — the whole disk for the classic build, one shard's slice for
-// the sharded build, so a shard is configured exactly like a small
-// standalone controller.
+// blocks — one shard's slice of the disk (the whole disk on a one-shard
+// array), so a shard is configured exactly like a small standalone
+// controller.
 func icashConfig(dataBlocks, ssdBlocks, deltaRAM, dataRAM, vmImageBlocks int64) core.Config {
 	// The log must comfortably hold the live delta volume of a fully
 	// delta-represented data set (a 4 KB log block packs roughly ten
@@ -552,36 +509,44 @@ func icashConfig(dataBlocks, ssdBlocks, deltaRAM, dataRAM, vmImageBlocks int64) 
 	return ccfg
 }
 
-// buildShardedICASH assembles cfg.Shards independent controllers, each
-// over its own SSD+HDD pair sized to its LBA slice, and composes them
-// with core.NewSharded under the system's one clock. RAM budgets and
-// the SSD cache split evenly; per-slice floors keep tiny shards
-// viable. The fault injectors, when requested, attach to shard
-// cfg.FaultShard only, under that shard's station namespace.
+// buildShardedICASH assembles the I-CASH array: cfg.Shards independent
+// controllers (one when Shards <= 1), each over its own SSD+HDD pair
+// sized to its LBA slice, composed with core.NewSharded under the
+// system's one clock. When the array has more than one shard the data
+// set, RAM budgets and SSD cache split evenly, and per-slice floors
+// keep tiny shards viable; a one-shard array gets the budgets whole and
+// unfloored. The fault injectors, when requested, attach to shard 0
+// only, under its station namespace.
 func buildShardedICASH(s *System, cfg BuildConfig) error {
 	nsh := cfg.Shards
-	per := (cfg.DataBlocks + int64(nsh) - 1) / int64(nsh)
-	if cfg.VMImageBlocks > 0 {
-		// Align so no VM image straddles a shard boundary: the session
-		// partitions of the block service map whole VMs to shards, and
-		// first-load pairing needs image-offset twins co-resident.
-		per = (per + cfg.VMImageBlocks - 1) / cfg.VMImageBlocks * cfg.VMImageBlocks
+	if nsh < 1 {
+		nsh = 1
 	}
-	ssdBlocks := cacheBlocks(cfg) / int64(nsh)
-	if ssdBlocks < 64 {
-		ssdBlocks = 64
-	}
-	deltaRAM := orDefault(cfg.DeltaRAMBytes, 32<<20) / int64(nsh)
-	if min := per * 512; deltaRAM < min {
-		deltaRAM = min
-	}
-	dataRAM := orDefault(cfg.DataRAMBytes, 32<<20) / int64(nsh)
-	if dataRAM < 512<<10 {
-		dataRAM = 512 << 10
-	}
-	faultShard := cfg.FaultShard
-	if faultShard < 0 || faultShard >= nsh {
-		faultShard = 0
+	per := cfg.DataBlocks
+	ssdBlocks := cacheBlocks(cfg)
+	deltaRAM := orDefault(cfg.DeltaRAMBytes, 32<<20)
+	dataRAM := orDefault(cfg.DataRAMBytes, 32<<20)
+	if nsh > 1 {
+		per = (per + int64(nsh) - 1) / int64(nsh)
+		if cfg.VMImageBlocks > 0 {
+			// Align so no VM image straddles a shard boundary: the
+			// session partitions of the block service map whole VMs to
+			// shards, and first-load pairing needs image-offset twins
+			// co-resident.
+			per = (per + cfg.VMImageBlocks - 1) / cfg.VMImageBlocks * cfg.VMImageBlocks
+		}
+		ssdBlocks /= int64(nsh)
+		if ssdBlocks < 64 {
+			ssdBlocks = 64
+		}
+		deltaRAM /= int64(nsh)
+		if min := per * 512; deltaRAM < min {
+			deltaRAM = min
+		}
+		dataRAM /= int64(nsh)
+		if dataRAM < 512<<10 {
+			dataRAM = 512 << 10
+		}
 	}
 
 	shards := make([]*core.Controller, nsh)
@@ -595,20 +560,20 @@ func buildShardedICASH(s *System, cfg BuildConfig) error {
 			cfg.Tune(&ccfg)
 		}
 		var ssdDev, hddDev blockdev.Device = sdev, h
-		if i == faultShard && cfg.FaultSSD != nil {
+		if i == 0 && cfg.FaultSSD != nil {
 			fc := *cfg.FaultSSD
 			fc.Clock = s.Clock
 			if fc.Station == "" {
-				fc.Station = fmt.Sprintf("s%d.ssd", i)
+				fc.Station = core.ShardNamespace(nsh, i) + "ssd"
 			}
 			s.SSDFault = fault.Wrap(ssdDev, fc)
 			ssdDev = s.SSDFault
 		}
-		if i == faultShard && cfg.FaultHDD != nil {
+		if i == 0 && cfg.FaultHDD != nil {
 			fc := *cfg.FaultHDD
 			fc.Clock = s.Clock
 			if fc.Station == "" {
-				fc.Station = fmt.Sprintf("s%d.hdd0", i)
+				fc.Station = core.ShardNamespace(nsh, i) + "hdd0"
 			}
 			s.HDDFault = fault.Wrap(hddDev, fc)
 			hddDev = s.HDDFault

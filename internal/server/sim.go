@@ -416,11 +416,7 @@ func RunServed(p workload.Profile, opts workload.Options, cfg SimConfig) (*Serve
 	for _, st := range sys.Stations {
 		res.Stations = append(res.Stations, st.Snapshot(res.Elapsed))
 	}
-	if sys.ICASH != nil {
-		st := sys.ICASH.Stats
-		res.Stats = &st
-		res.Degraded = sys.ICASH.Degraded()
-	} else if sys.Sharded != nil {
+	if sys.Sharded != nil {
 		st := sys.Sharded.Stats()
 		res.Stats = &st
 		res.Degraded = sys.Sharded.Degraded()
