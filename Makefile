@@ -73,8 +73,9 @@ shard-smoke: ## sharded-controller battery under -race: routing, scoreboard equa
 	$(GO) test -race -count=1 -run 'TestShardRouter|TestChaosShard' ./internal/server/ ./internal/fault/chaos/
 	$(GO) run ./cmd/icash-bench -shardsweep -ops 4000
 
-golden: ## rewrite the scoreboard and chaos goldens (testdata/*.golden); explain every moved row in CHANGES.md
-	$(GO) test -count=1 -run '^TestScoreboardGolden$$' ./internal/harness/ -update
+golden: ## rewrite the scoreboard, sweep and chaos goldens (testdata/*.golden); explain every moved row in CHANGES.md
+	$(GO) test -count=1 -run '^(TestScoreboardGolden|TestSweepGolden)$$' ./internal/harness/ -update
+	$(GO) test -count=1 -run '^TestServeSweepGolden$$' ./internal/server/ -update
 	$(GO) test -count=1 -run '^TestChaosGolden$$' ./internal/fault/chaos/ -update
 
 examples:
