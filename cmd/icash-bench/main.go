@@ -36,8 +36,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"icash/internal/fault/chaos"
 	"icash/internal/harness"
@@ -47,40 +45,20 @@ import (
 	"icash/internal/workload"
 )
 
-// chaosSeedResult is one seed's outcome, gathered by index so the soak
-// report stays in seed order whatever the worker count.
-type chaosSeedResult struct {
-	res *chaos.Result
-	err error
-}
-
-// fanSeeds runs f(0..n-1) across the harness worker pool and returns
-// the results in index order — the same submission-order reassembly
-// the experiment runner uses, so every report is byte-identical at any
-// -parallel count.
-func fanSeeds(n int, f func(i int) chaosSeedResult) []chaosSeedResult {
-	outs := make([]chaosSeedResult, n)
-	workers := harness.Parallelism()
-	if workers > n {
-		workers = n
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				outs[i] = f(i)
-			}
-		}()
-	}
-	wg.Wait()
-	return outs
+// runSeeds runs chaos.Run on config(0..n-1) across the harness worker
+// pool and returns every seed's result and error in seed order — the
+// same submission-order reassembly the experiment runner uses, so every
+// report is byte-identical at any -parallel count. Each seed keeps its
+// own error, so a failing seed never stops the others from reporting.
+func runSeeds(n int, config func(i int) chaos.Config) ([]*chaos.Result, []error) {
+	results := make([]*chaos.Result, n)
+	errs := make([]error, n)
+	// The callback never fails: each seed's error is kept in errs.
+	_ = harness.ForEachPoint(n, func(i int) error {
+		results[i], errs[i] = chaos.Run(config(i))
+		return nil
+	})
+	return results, errs
 }
 
 // runChaos drives n chaos-soak seeds — fanned across the harness's
@@ -102,18 +80,15 @@ func runChaos(base uint64, n, ops, qd int) error {
 		qd = 8
 	}
 	fmt.Printf("chaos soak: %d seeds from %d, %d ops/seed, QD=%d\n", n, base, ops, qd)
-	outs := fanSeeds(n, func(i int) chaosSeedResult {
-		cfg := chaos.Config{Seed: base + uint64(i), Ops: ops, QueueDepth: qd}
-		res, err := chaos.Run(cfg)
-		return chaosSeedResult{res: res, err: err}
+	results, errs := runSeeds(n, func(i int) chaos.Config {
+		return chaos.Config{Seed: base + uint64(i), Ops: ops, QueueDepth: qd}
 	})
-	for i, out := range outs {
-		if out.err != nil {
+	for i, res := range results {
+		if errs[i] != nil {
 			failed = append(failed, base+uint64(i))
-			fmt.Printf("  FAIL %v\n", out.err)
+			fmt.Printf("  FAIL %v\n", errs[i])
 			continue
 		}
-		res := out.res
 		fmt.Printf("  %s\n", res)
 		readAll.Merge(&res.ReadHist)
 		writeAll.Merge(&res.WriteHist)
@@ -152,14 +127,12 @@ func runScrubOverhead(base uint64, n, ops, qd int) error {
 	fmt.Printf("%-6s %9s %10s %9s %9s %9s %8s %8s %7s\n",
 		"scrub", "ops", "ops/sec", "read p50", "read p99", "write p99", "slotchk", "homechk", "passes")
 	for _, arm := range arms {
-		outs := fanSeeds(n, func(i int) chaosSeedResult {
-			cfg := chaos.Config{
+		results, errs := runSeeds(n, func(i int) chaos.Config {
+			return chaos.Config{
 				Seed: base + uint64(i), Ops: ops, QueueDepth: qd,
 				NoFailStop: true, NoFailSlow: true,
 				ScrubInterval: arm.interval,
 			}
-			res, err := chaos.Run(cfg)
-			return chaosSeedResult{res: res, err: err}
 		})
 		var (
 			readAll, writeAll              metrics.Histogram
@@ -167,11 +140,10 @@ func runScrubOverhead(base uint64, n, ops, qd int) error {
 			elapsed                        sim.Duration
 			slotChecks, homeChecks, passes int64
 		)
-		for i, out := range outs {
-			if out.err != nil {
-				return fmt.Errorf("scrub overhead: seed %d (%s): %w", base+uint64(i), arm.name, out.err)
+		for i, res := range results {
+			if errs[i] != nil {
+				return fmt.Errorf("scrub overhead: seed %d (%s): %w", base+uint64(i), arm.name, errs[i])
 			}
-			res := out.res
 			if res.Stats.CorruptionsDetected != 0 {
 				return fmt.Errorf("scrub overhead: seed %d (%s): %d corruptions detected on a clean run",
 					base+uint64(i), arm.name, res.Stats.CorruptionsDetected)
@@ -205,19 +177,17 @@ func runBitrot(base uint64, n, ops, qd int) error {
 		qd = 8
 	}
 	fmt.Printf("bit-rot soak: %d seeds from %d, %d ops/seed, QD=%d, scrubber on\n", n, base, ops, qd)
-	outs := fanSeeds(n, func(i int) chaosSeedResult {
+	results, errs := runSeeds(n, func(i int) chaos.Config {
 		// Pure silent-corruption arm: fail-stop and fail-slow injection
 		// off, so every wrong byte, detection, and repair in the report
 		// traces back to a lying device — the combined-mode soak lives
 		// under -chaos.
-		cfg := chaos.Config{
+		return chaos.Config{
 			Seed: base + uint64(i), Ops: ops, QueueDepth: qd,
 			NoFailStop: true, NoFailSlow: true,
 			SilentFaults:  true,
 			ScrubInterval: 5 * sim.Millisecond,
 		}
-		res, err := chaos.Run(cfg)
-		return chaosSeedResult{res: res, err: err}
 	})
 	var (
 		detectAll                           metrics.Histogram
@@ -225,13 +195,12 @@ func runBitrot(base uint64, n, ops, qd int) error {
 		uncaught, dropped                   int64
 		failed                              []uint64
 	)
-	for i, out := range outs {
-		if out.err != nil {
+	for i, res := range results {
+		if errs[i] != nil {
 			failed = append(failed, base+uint64(i))
-			fmt.Printf("  FAIL %v\n", out.err)
+			fmt.Printf("  FAIL %v\n", errs[i])
 			continue
 		}
-		res := out.res
 		fmt.Printf("  %s\n", res)
 		injected += res.SSDFault.BitFlips + res.SSDFault.MisdirectedWrites + res.SSDFault.LostWrites +
 			res.HDDFault.BitFlips + res.HDDFault.MisdirectedWrites + res.HDDFault.LostWrites
@@ -287,7 +256,6 @@ func realMain() int {
 	)
 	flag.Parse()
 	harness.SetParallelism(*parallel)
-	harness.SetShards(*shards)
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -346,7 +314,7 @@ func realMain() int {
 	}
 
 	if *qdsweep || *wsweep || *serve || *shardsweep {
-		opts := workload.Options{Seed: *seed, MaxOps: *sweepOps}
+		opts := workload.Options{Seed: *seed, MaxOps: *sweepOps, Shards: *shards}
 		scaleSet := false
 		flag.Visit(func(f *flag.Flag) {
 			if f.Name == "scale" {
@@ -390,7 +358,7 @@ func realMain() int {
 	}
 
 	ids := strings.Split(*run, ",")
-	opts := workload.Options{Scale: *scale, Seed: *seed, QueueDepth: *qd, StreamPerVM: *vms}
+	opts := workload.Options{Scale: *scale, Seed: *seed, QueueDepth: *qd, StreamPerVM: *vms, Shards: *shards}
 	report, err := harness.RunExperiments(ids, opts)
 	fmt.Print(report)
 	if err != nil {

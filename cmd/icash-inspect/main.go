@@ -44,7 +44,6 @@ func main() {
 		shards = flag.Int("shards", 1, "partition the array into N LBA-range shards (1 = one shard, the whole disk)")
 	)
 	flag.Parse()
-	harness.SetShards(*shards)
 
 	p, ok := workload.ByName(*bench)
 	if !ok {
@@ -53,7 +52,7 @@ func main() {
 	}
 
 	if *serve {
-		opts := workload.Options{Scale: *scale, Seed: *seed, StreamPerVM: *vms, QueueDepth: *window}
+		opts := workload.Options{Scale: *scale, Seed: *seed, StreamPerVM: *vms, QueueDepth: *window, Shards: *shards}
 		cfg := server.DefaultSimConfig()
 		cfg.Window = *window
 		sr, err := server.RunServed(p, opts, cfg)
@@ -71,7 +70,7 @@ func main() {
 		return
 	}
 
-	opts := workload.Options{Scale: *scale, Seed: *seed}
+	opts := workload.Options{Scale: *scale, Seed: *seed, Shards: *shards}
 	br, err := harness.RunBenchmark(p, opts, []harness.Kind{harness.ICASH})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "icash-inspect: %v\n", err)
@@ -82,7 +81,7 @@ func main() {
 
 	fmt.Printf("I-CASH on %s (scale %.4g, %d ops)\n", p.Name, *scale, res.Ops)
 	fmt.Printf("elapsed %v — %.1f tx/s, reads avg %v, writes avg %v\n",
-		res.Elapsed, res.TxnPerSec, res.ReadLat.Mean(), res.WriteLat.Mean())
+		res.Elapsed, res.TxnPerSec, res.ReadHist.Mean(), res.WriteHist.Mean())
 	fmt.Printf("read latency  %s\n", res.ReadHist.String())
 	fmt.Printf("write latency %s\n\n", res.WriteHist.String())
 

@@ -43,14 +43,13 @@ func realMain() int {
 		shards = flag.Int("shards", 1, "partition the array into N LBA-range shards (1 = one shard, the whole disk); sessions on different shards serve in parallel")
 	)
 	flag.Parse()
-	harness.SetShards(*shards)
 
 	p, ok := workload.ByName(*bench)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "icash-serve: unknown benchmark %q\n", *bench)
 		return 2
 	}
-	opts := workload.Options{Scale: *scale, Seed: *seed, MaxOps: *ops, StreamPerVM: *vms, QueueDepth: *window}
+	opts := workload.Options{Scale: *scale, Seed: *seed, MaxOps: *ops, StreamPerVM: *vms, QueueDepth: *window, Shards: *shards}
 
 	if *listen != "" {
 		if err := serveListen(*listen, p, opts, *window); err != nil {

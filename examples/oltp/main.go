@@ -33,7 +33,7 @@ func main() {
 		r := br.Results[k]
 		fmt.Fprintf(w, "%s\t%.1f\t%.1fµs\t%.1fµs\t%d\t%v\n",
 			k, r.TxnPerSec,
-			r.ReadLat.Mean().Microseconds(), r.WriteLat.Mean().Microseconds(),
+			r.ReadHist.Mean().Microseconds(), r.WriteHist.Mean().Microseconds(),
 			r.SSDHostWrites, r.HDDBusy)
 	}
 	w.Flush()

@@ -93,13 +93,11 @@ func runConcurrent(sys *System, parent *workload.Generator, streams []*workload.
 				sys.PollDetector()
 				caches[si].insert(lba)
 				res.Writes++
-				res.WriteLat.Record(d + wait)
 				res.WriteHist.Record(d + wait)
 				res.QueueWait.Record(wait)
 				arrival = arrival.Add(d + wait)
 			} else {
 				if caches[si].lookup(lba) {
-					res.ReadLat.Record(pageCacheHitLatency)
 					res.ReadHist.Record(pageCacheHitLatency)
 					arrival = arrival.Add(pageCacheHitLatency)
 					continue
@@ -114,7 +112,6 @@ func runConcurrent(sys *System, parent *workload.Generator, streams []*workload.
 				sys.PollDetector()
 				caches[si].insert(lba)
 				res.Reads++
-				res.ReadLat.Record(d + wait)
 				res.ReadHist.Record(d + wait)
 				res.QueueWait.Record(wait)
 				arrival = arrival.Add(d + wait)

@@ -22,7 +22,7 @@ func runBench(t *testing.T, p workload.Profile) *BenchmarkRun {
 			t.Fatalf("%s: missing result for %s", p.Name, k)
 		}
 		t.Logf("%-9s tx/s=%7.1f rd=%8.1fµs wr=%7.1fµs ssdW=%7d elapsed=%v",
-			k, r.TxnPerSec, r.ReadLat.Mean().Microseconds(), r.WriteLat.Mean().Microseconds(),
+			k, r.TxnPerSec, r.ReadHist.Mean().Microseconds(), r.WriteHist.Mean().Microseconds(),
 			r.SSDHostWrites, r.Elapsed)
 	}
 	return br
@@ -43,9 +43,9 @@ func TestSysBenchShape(t *testing.T) {
 			tx(br, FusionIO), tx(br, LRU), tx(br, RAID0))
 	}
 	ic, fio := br.Results[ICASH], br.Results[FusionIO]
-	if ic.WriteLat.Mean() >= fio.WriteLat.Mean() {
+	if ic.WriteHist.Mean() >= fio.WriteHist.Mean() {
 		t.Errorf("I-CASH write latency %v must undercut FusionIO %v",
-			ic.WriteLat.Mean(), fio.WriteLat.Mean())
+			ic.WriteHist.Mean(), fio.WriteHist.Mean())
 	}
 	// Table 6: I-CASH performs a small fraction of FusionIO's SSD writes.
 	if ic.SSDHostWrites*2 > fio.SSDHostWrites {
@@ -120,7 +120,7 @@ func TestDeterminism(t *testing.T) {
 	}
 	ra, rb := a.Results[ICASH], b.Results[ICASH]
 	if ra.Elapsed != rb.Elapsed || ra.SSDHostWrites != rb.SSDHostWrites ||
-		ra.ReadLat.Mean() != rb.ReadLat.Mean() {
+		ra.ReadHist.Mean() != rb.ReadHist.Mean() {
 		t.Fatalf("non-deterministic: %v/%d vs %v/%d",
 			ra.Elapsed, ra.SSDHostWrites, rb.Elapsed, rb.SSDHostWrites)
 	}

@@ -15,38 +15,29 @@ import (
 // data-race proof for the per-shard fan (fresh generators, per-shard
 // accountants, frozen clock).
 
-// withShards runs fn with the package shard count set to n, restoring
-// the previous setting afterwards.
-func withShards(t *testing.T, n int, fn func()) {
-	t.Helper()
-	prev := int(shardCount.Load())
-	SetShards(n)
-	defer SetShards(prev)
-	fn()
-}
-
 func TestRunBenchmarkShardedSerialParallelIdentical(t *testing.T) {
 	p := workload.SysBench()
-	opts := workload.Options{Scale: 1.0 / 256, MaxOps: 1200, Seed: 42}
 	for _, shards := range []int{1, 2, 8} {
-		withShards(t, shards, func() {
-			var runs [][]*Result
-			for _, n := range []int{1, 2, 8} {
-				withParallelism(t, n, func() {
-					br, err := RunBenchmark(p, opts, []Kind{ICASH})
-					if err != nil {
-						t.Fatalf("shards %d parallelism %d: %v", shards, n, err)
-					}
-					runs = append(runs, resultsOf(br))
-				})
-			}
-			for i := 1; i < len(runs); i++ {
-				if !reflect.DeepEqual(runs[0], runs[i]) {
-					t.Fatalf("shards %d: results diverge between parallelism 1 and %d",
-						shards, []int{1, 2, 8}[i])
+		opts := workload.Options{Scale: 1.0 / 256, MaxOps: 1200, Seed: 42, Shards: shards}
+		var runs [][]*Result
+		for _, n := range []int{1, 2, 8} {
+			withParallelism(t, n, func() {
+				br, err := RunBenchmark(p, opts, []Kind{ICASH})
+				if err != nil {
+					t.Fatalf("shards %d parallelism %d: %v", shards, n, err)
 				}
+				if got := br.SysSharded.NumShards(); got != shards {
+					t.Fatalf("shards %d parallelism %d: built %d shards", shards, n, got)
+				}
+				runs = append(runs, resultsOf(br))
+			})
+		}
+		for i := 1; i < len(runs); i++ {
+			if !reflect.DeepEqual(runs[0], runs[i]) {
+				t.Fatalf("shards %d: results diverge between parallelism 1 and %d",
+					shards, []int{1, 2, 8}[i])
 			}
-		})
+		}
 	}
 }
 

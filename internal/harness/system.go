@@ -68,8 +68,6 @@ type BuildConfig struct {
 	DataRAMBytes  int64
 	// VMImageBlocks enables I-CASH's VM-offset pairing (0 = off).
 	VMImageBlocks int64
-	// RAIDDisks is the stripe width (the paper uses 4).
-	RAIDDisks int
 	// Shards partitions the I-CASH array into that many independent
 	// LBA-range shards, each a full controller over its own SSD+HDD
 	// pair, composed under the one clock (<= 1 builds one shard;
@@ -94,24 +92,11 @@ type BuildConfig struct {
 	FaultSSD *fault.Config
 	FaultHDD *fault.Config
 
-	// Scrub configures I-CASH's background integrity scrubber (see
-	// core.ScrubConfig; a zero Interval leaves it disabled). Ignored
-	// for the baseline systems.
-	Scrub core.ScrubConfig
-
 	// SlowDetector enables the fail-slow detector: station service
-	// times feed a windowed-p99 watch, and the concurrent runner
-	// quarantines / re-admits the I-CASH SSD as the flag flips.
+	// times feed a windowed-p99 watch (thresholds in instrument), and
+	// the concurrent runner quarantines / re-admits the I-CASH SSD as
+	// the flag flips.
 	SlowDetector bool
-	// SlowSSDThreshold and SlowHDDThreshold override the detector
-	// thresholds (zero keeps the defaults: 2 ms per SSD channel, 100 ms
-	// per HDD actuator). 2 ms sits well above a channel's routine
-	// service (tens of microseconds); the rare healthy ops beyond it —
-	// writes that trigger GC pay an erase plus relocations — stay under
-	// the detector's 5% flag fraction, while a fail-slow window pushes
-	// ordinary writes past it in bulk.
-	SlowSSDThreshold sim.Duration
-	SlowHDDThreshold sim.Duration
 }
 
 // System is one storage configuration under test: the device stack plus
@@ -271,6 +256,16 @@ func (s *System) CPUBusy() sim.Duration {
 // optional slow-device detector observes every station's shaped
 // service times.
 func (s *System) instrument(cfg BuildConfig) {
+	// Detector thresholds. 2 ms sits well above an SSD channel's routine
+	// service (tens of microseconds); the rare healthy ops beyond it —
+	// writes that trigger GC pay an erase plus relocations — stay under
+	// the detector's 5% flag fraction, while a fail-slow window pushes
+	// ordinary writes past it in bulk. 100 ms likewise sits well above an
+	// HDD actuator's routine seek plus rotation (around 10 ms).
+	const (
+		slowSSDThreshold = 2 * sim.Millisecond
+		slowHDDThreshold = 100 * sim.Millisecond
+	)
 	s.Tracer = event.NewTracer()
 	var ssdPlan, hddPlan *fault.Schedule
 	if cfg.FaultSSD != nil {
@@ -290,21 +285,13 @@ func (s *System) instrument(cfg BuildConfig) {
 		s.Detector.Watch(name, threshold)
 		srv.SetObserver(func(svc sim.Duration) { s.Detector.Observe(name, svc) })
 	}
-	ssdThreshold := cfg.SlowSSDThreshold
-	if ssdThreshold <= 0 {
-		ssdThreshold = 2 * sim.Millisecond
-	}
-	hddThreshold := cfg.SlowHDDThreshold
-	if hddThreshold <= 0 {
-		hddThreshold = 100 * sim.Millisecond
-	}
 	addSSD := func(dev *ssd.Device, prefix string) {
 		n := dev.Config().Channels
 		chans := make([]*event.Server, n)
 		for i := range chans {
 			chans[i] = event.NewServer(fmt.Sprintf("%sssd.ch%d", prefix, i), event.DefaultQueueCap)
 			chans[i].SetShaper(ssdPlan.Shaper(chans[i].Name()))
-			watch(chans[i], ssdThreshold)
+			watch(chans[i], slowSSDThreshold)
 			s.Stations = append(s.Stations, chans[i])
 		}
 		dev.Instrument(s.Tracer, chans)
@@ -312,7 +299,7 @@ func (s *System) instrument(cfg BuildConfig) {
 	addHDD := func(h *hdd.Device, name string) {
 		srv := event.NewServer(name, event.DefaultQueueCap)
 		srv.SetShaper(hddPlan.Shaper(srv.Name()))
-		watch(srv, hddThreshold)
+		watch(srv, slowHDDThreshold)
 		s.Stations = append(s.Stations, srv)
 		h.Instrument(s.Tracer, srv)
 	}
@@ -379,9 +366,6 @@ func Build(kind Kind, cfg BuildConfig) (*System, error) {
 	if cfg.DataBlocks <= 0 {
 		return nil, fmt.Errorf("harness: DataBlocks must be positive")
 	}
-	if cfg.RAIDDisks <= 0 {
-		cfg.RAIDDisks = 4
-	}
 	clock := sim.NewClock()
 	cpu := cpumodel.NewAccountant(clock)
 	s := &System{Kind: kind, Clock: clock, CPU: cpu}
@@ -399,10 +383,10 @@ func Build(kind Kind, cfg BuildConfig) (*System, error) {
 		s.flush = s.Pure.Flush
 
 	case RAID0:
-		const chunk = 32
-		stripe := int64(cfg.RAIDDisks) * chunk
+		const chunk, raidDisks = 32, 4 // the paper's 4-disk stripe
+		stripe := int64(raidDisks) * chunk
 		per := (cfg.DataBlocks + stripe - 1) / stripe * chunk
-		members := make([]blockdev.Device, cfg.RAIDDisks)
+		members := make([]blockdev.Device, raidDisks)
 		for i := range members {
 			h := hdd.New(hdd.DefaultConfig(per))
 			s.HDDs = append(s.HDDs, h)
@@ -584,7 +568,6 @@ func buildShardedICASH(s *System, cfg BuildConfig) error {
 		if err != nil {
 			return fmt.Errorf("harness: shard %d: %w", i, err)
 		}
-		ctrl.SetScrub(cfg.Scrub)
 		shards[i] = ctrl
 	}
 	sc, err := core.NewSharded(shards)

@@ -1,3 +1,7 @@
+// Package metrics provides latency recording and table formatting for
+// the experiment harness. Latencies go into a fixed-bucket Histogram,
+// so means are exact and percentiles are available without storing
+// every sample.
 package metrics
 
 import (
@@ -8,11 +12,10 @@ import (
 )
 
 // Histogram is a fixed-bucket latency histogram with enough resolution
-// for tail percentiles (p99, p999). Where LatencyRecorder uses one
-// bucket per power of two (fine for means and medians, coarse at the
-// tail), Histogram splits every power-of-two octave into four linear
-// sub-buckets — two significant bits of mantissa — so a p999 estimate
-// is within ~12.5% of the true sample instead of within 2x.
+// for tail percentiles (p99, p999). Count, sum, min and max are exact;
+// every power-of-two octave is split into four linear sub-buckets — two
+// significant bits of mantissa — so a p999 estimate is within ~12.5%
+// of the true sample.
 //
 // The bucket layout is fixed (no allocation, mergeable by index):
 //
@@ -33,8 +36,7 @@ const (
 	// histMinExp: durations below 2^histMinExp ns (~1 µs) share four
 	// linear buckets; nothing in the simulation resolves finer.
 	histMinExp = 10
-	// histMaxExp caps the top octave at 2^34 ns (~17 s), matching
-	// LatencyRecorder's range.
+	// histMaxExp caps the top octave at 2^34 ns (~17 s).
 	histMaxExp = 34
 	// histSub is the number of linear sub-buckets per octave.
 	histSub = 4
@@ -137,6 +139,22 @@ func (h *Histogram) Percentile(p float64) sim.Duration {
 		}
 	}
 	return h.max
+}
+
+// Quantile is Percentile(100*q). It is kept only for perfbench, which
+// calls QueueWait.Quantile(0.99); delete it once that call moves to
+// Percentile(99).
+func (h *Histogram) Quantile(q float64) sim.Duration { return h.Percentile(100 * q) }
+
+// clampDur bounds a bucket-midpoint estimate to the observed range.
+func clampDur(d, lo, hi sim.Duration) sim.Duration {
+	if d < lo {
+		return lo
+	}
+	if d > hi {
+		return hi
+	}
+	return d
 }
 
 // P50, P95, P99 and P999 are the percentile shorthands every table uses.

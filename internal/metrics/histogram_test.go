@@ -3,6 +3,7 @@ package metrics
 import (
 	"sort"
 	"testing"
+	"testing/quick"
 
 	"icash/internal/sim"
 )
@@ -85,6 +86,11 @@ func TestHistogramMerge(t *testing.T) {
 	if a != all {
 		t.Fatal("merging an empty histogram changed the receiver")
 	}
+	var none Histogram
+	none.Merge(&empty)
+	if none != (Histogram{}) {
+		t.Fatal("merging two empty histograms recorded something")
+	}
 }
 
 // TestHistogramEdges covers the empty histogram and extreme samples.
@@ -103,5 +109,43 @@ func TestHistogramEdges(t *testing.T) {
 	}
 	if p := h.Percentile(0); p != h.Min() {
 		t.Errorf("p0 = %v, want min %v", p, h.Min())
+	}
+	for _, q := range []float64{0, 0.5, 0.99, 0.999, 1} {
+		if got, want := h.Quantile(q), h.Percentile(100*q); got != want {
+			t.Errorf("Quantile(%v) = %v, want Percentile(%v) = %v", q, got, 100*q, want)
+		}
+	}
+}
+
+// TestHistogramProperties: on arbitrary sample sets the mean is exact
+// (not bucketed), percentiles are monotone in p, and the median lies
+// within the observed range.
+func TestHistogramProperties(t *testing.T) {
+	f := func(raw []uint32) bool {
+		if len(raw) == 0 {
+			return true
+		}
+		var h Histogram
+		var sum sim.Duration
+		for _, v := range raw {
+			d := sim.Duration(v)
+			h.Record(d)
+			sum += d
+		}
+		if h.Mean() != sum/sim.Duration(len(raw)) {
+			return false
+		}
+		last := sim.Duration(-1)
+		for _, p := range []float64{10, 50, 90, 99, 99.9} {
+			cur := h.Percentile(p)
+			if cur < last {
+				return false
+			}
+			last = cur
+		}
+		return h.Min() <= h.P50() && h.P50() <= h.Max()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
 	}
 }

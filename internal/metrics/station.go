@@ -26,7 +26,7 @@ type StationStats struct {
 	// Stalls counts admissions that found the bounded queue full.
 	Stalls int64
 	// Wait is the queue-wait histogram (arrival to service start).
-	Wait LatencyRecorder
+	Wait Histogram
 	// Service is the service-time distribution after fail-slow shaping,
 	// with tail-percentile resolution.
 	Service Histogram

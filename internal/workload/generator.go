@@ -40,6 +40,10 @@ type Options struct {
 	// I-CASH controller parameters (ablation studies). Ignored by the
 	// generator itself.
 	TuneICASH func(*core.Config)
+	// Shards, when run through the experiment harness, partitions the
+	// I-CASH array into that many LBA-range shards (<= 1 builds one
+	// shard over the whole disk). Ignored by the generator itself.
+	Shards int
 }
 
 // DefaultScale keeps the largest benchmark around a hundred thousand
