@@ -39,7 +39,7 @@ bench-profile: ## full figure suite with CPU + heap profiles (cpu.prof, mem.prof
 	@echo "profiles written: cpu.prof mem.prof (inspect with: go tool pprof cpu.prof)"
 
 alloc-gate: ## hot-path allocation gates + allocs/op benchmarks (must run WITHOUT -race)
-	$(GO) test -run 'TestAllocGate' -count=1 ./internal/delta/ ./internal/blockdev/ ./internal/core/
+	$(GO) test -run 'TestAllocGate' -count=1 ./internal/delta/ ./internal/blockdev/ ./internal/core/ ./internal/harness/
 	$(GO) test -bench 'AppendEncode|AppendDecode|Size' -benchtime 1000x -benchmem -run '^$$' ./internal/delta/
 
 fuzz-smoke: ## 10s per fuzz target, seeded from testdata corpora

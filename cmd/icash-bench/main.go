@@ -232,7 +232,7 @@ func realMain() int {
 		list    = flag.Bool("list", false, "list all experiments and exit")
 		scale   = flag.Float64("scale", 1.0/256, "data-set and op-count scale relative to the paper")
 		seed    = flag.Uint64("seed", 42, "workload random seed")
-		qd      = flag.Int("qd", 1, "outstanding requests per stream (1 = classic serial issue)")
+		qd      = flag.Int("qd", 1, "outstanding requests per stream (1 = one request in flight at a time)")
 		vms     = flag.Bool("vms", false, "run multi-VM benchmarks as interleaved per-VM streams")
 		qdsweep = flag.Bool("qdsweep", false, "print the RAID0 random-read queue-depth scaling table and exit")
 		wsweep  = flag.Bool("wsweep", false, "print the I-CASH random-write queue-depth scaling table (group-commit batching) and exit")

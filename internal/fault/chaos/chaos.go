@@ -392,7 +392,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	// Measured phase: closed-loop QueueDepth tokens on the event
-	// engine, mirroring the harness's concurrent runner, with every
+	// engine, mirroring the harness runner, with every
 	// read checked against the oracle at execution time (the stack
 	// runs in deterministic event order, so "current version" is
 	// well-defined even with overlapping requests).
@@ -461,10 +461,7 @@ func Run(cfg Config) (*Result, error) {
 		if write {
 			version++
 			fillBlock(buf, lba, version)
-			sys.Tracer.Begin()
-			d, werr := sys.Dev.WriteBlock(lba, buf)
-			wait := event.Replay(sys.Tracer.Take(), arrival)
-			sys.PollDetector()
+			d, wait, werr := sys.ServeBlock(true, lba, buf, arrival)
 			st := &oracle[lba]
 			if werr != nil {
 				// The write failed loudly; the block now legitimately
@@ -479,10 +476,7 @@ func Run(cfg Config) (*Result, error) {
 			res.WriteHist.Record(d + wait)
 			arrival = arrival.Add(d + wait)
 		} else {
-			sys.Tracer.Begin()
-			d, rerr := sys.Dev.ReadBlock(lba, buf)
-			wait := event.Replay(sys.Tracer.Take(), arrival)
-			sys.PollDetector()
+			d, wait, rerr := sys.ServeBlock(false, lba, buf, arrival)
 			if rerr != nil {
 				res.OpErrors++
 			} else {

@@ -8,49 +8,69 @@ import (
 	"icash/internal/workload"
 )
 
-// runConcurrent drives one or more request streams against sys with qd
-// outstanding requests per stream, on the discrete-event engine.
+// Run drives gen against sys to completion and collects a Result. The
+// generator must be freshly Reset; the system must be freshly built.
+// Populate is normally called first.
+//
+// Every run goes through the discrete-event engine. The generator's
+// options set the issue mode: QueueDepth outstanding requests per
+// stream (0 counts as 1), and one stream per VM under StreamPerVM (one
+// stream otherwise).
 //
 // The model is closed-loop trace-and-replay. Each stream owns qd issue
 // tokens; a token issues a request, and when that request completes the
 // token issues the next one — the scheduler interleaves all tokens of
 // all streams by virtual completion time. Each block of a request walks
-// the device stack synchronously (the stack is ordinary sequential
-// code); the devices note every station visit (SSD channel, HDD
-// actuator) with its service time, and the engine replays those visits
-// onto the station timelines starting at the block's arrival instant to
-// discover the queueing delays concurrent requests inflict on each
-// other. A block's response time is its uncontended service time plus
-// those queue waits; a request completes when its last block does.
+// the device stack synchronously (System.ServeBlock); the devices note
+// every station visit (SSD channel, HDD actuator) with its service
+// time, and the engine replays those visits onto the station timelines
+// starting at the block's arrival instant to discover the queueing
+// delays requests inflict on each other. A block's response time is its
+// uncontended service time plus those queue waits; a request completes
+// when its last block does.
 //
 // Background device work a request triggers (I-CASH log appends,
 // destages) occupies its stations just like foreground work: later
 // requests landing on the same actuator wait behind it. That is the
-// backpressure a real drive exerts, and it is the deliberate design
-// choice here — background traffic is invisible at QD=1 (the serial
-// path never begins a trace) but contends for arms and channels the
-// moment requests overlap.
+// backpressure a real drive exerts, and it applies at every queue
+// depth: at QD=1 the next request waits for the actuator to finish the
+// previous request's background writes, so no disk is busy for longer
+// than the requests take. (The end-of-run Flush drains write-back state
+// after the last request completes; its device time is in HDDBusy but
+// not in Elapsed.)
 //
 // Determinism: everything runs on one goroutine, the scheduler breaks
 // timestamp ties in schedule order, and stack state mutates in event
 // order — same seed, same results, regardless of GOMAXPROCS.
-func runConcurrent(sys *System, parent *workload.Generator, streams []*workload.Generator, qd int) (*Result, error) {
-	p := parent.Profile()
+func Run(sys *System, gen *workload.Generator) (*Result, error) {
+	opts := gen.Options()
+	qd := opts.QueueDepth
+	if qd < 1 {
+		qd = 1
+	}
+	streams := []*workload.Generator{gen}
+	if opts.StreamPerVM {
+		if vs := gen.VMStreams(); vs != nil {
+			streams = vs
+		}
+	}
+	p := gen.Profile()
 	res := &Result{
 		System: sys.Name(), Benchmark: p.Name,
 		QueueDepth: qd, Streams: len(streams),
 	}
-	sys.SetFill(parent.Fill)
+	sys.SetFill(gen.Fill)
 
 	// Guest page cache, one per stream: each stream is one guest VM with
-	// its own RAM (the serial path models the same budget as a single
-	// shared cache because its VMs take turns).
+	// its own RAM. The profile's PCFraction of VM RAM, scaled like the
+	// data set (databases with direct I/O barely use it; file and mail
+	// servers cache aggressively).
 	frac := p.PCFraction
 	if frac <= 0 {
 		frac = 0.25
 	}
 	pcBlocks := int(frac * float64(p.VMRAMBytes/blockdev.BlockSize) *
-		float64(parent.DataBlocks()) / float64(p.DataBlocks()))
+		float64(gen.DataBlocks()) / float64(p.DataBlocks()))
 	caches := make([]*pageCache, len(streams))
 	for i := range caches {
 		caches[i] = newPageCache(pcBlocks)
@@ -60,11 +80,14 @@ func runConcurrent(sys *System, parent *workload.Generator, streams []*workload.
 	sch := event.NewScheduler(clock)
 	start := clock.Now()
 	maxDone := start
-	buf := make([]byte, blockdev.BlockSize)
+	buf := blockdev.GetBlock()
+	defer blockdev.PutBlock(buf)
 	var runErr error
 
-	var issue func(si int)
-	issue = func(si int) {
+	// next[si] issues stream si's next request. The closures are built
+	// once, so scheduling a token's next issue allocates nothing.
+	next := make([]func(), len(streams))
+	issue := func(si int) {
 		if runErr != nil {
 			return
 		}
@@ -81,55 +104,49 @@ func runConcurrent(sys *System, parent *workload.Generator, streams []*workload.
 			if lba >= sys.Dev.Blocks() {
 				break
 			}
+			if !req.Write && caches[si].lookup(lba) {
+				res.ReadHist.Record(pageCacheHitLatency)
+				arrival = arrival.Add(pageCacheHitLatency)
+				continue
+			}
 			if req.Write {
 				gen.WriteContent(lba, buf)
-				sys.Tracer.Begin()
-				d, err := sys.Dev.WriteBlock(lba, buf)
-				if err != nil {
-					runErr = fmt.Errorf("harness: %s write lba %d: %w", sys.Name(), lba, err)
-					return
+			}
+			d, wait, err := sys.ServeBlock(req.Write, lba, buf, arrival)
+			if err != nil {
+				op := "read"
+				if req.Write {
+					op = "write"
 				}
-				wait := event.Replay(sys.Tracer.Take(), arrival)
-				sys.PollDetector()
-				caches[si].insert(lba)
+				runErr = fmt.Errorf("harness: %s %s lba %d: %w", sys.Name(), op, lba, err)
+				return
+			}
+			caches[si].insert(lba)
+			if req.Write {
 				res.Writes++
 				res.WriteHist.Record(d + wait)
-				res.QueueWait.Record(wait)
-				arrival = arrival.Add(d + wait)
 			} else {
-				if caches[si].lookup(lba) {
-					res.ReadHist.Record(pageCacheHitLatency)
-					arrival = arrival.Add(pageCacheHitLatency)
-					continue
-				}
-				sys.Tracer.Begin()
-				d, err := sys.Dev.ReadBlock(lba, buf)
-				if err != nil {
-					runErr = fmt.Errorf("harness: %s read lba %d: %w", sys.Name(), lba, err)
-					return
-				}
-				wait := event.Replay(sys.Tracer.Take(), arrival)
-				sys.PollDetector()
-				caches[si].insert(lba)
 				res.Reads++
 				res.ReadHist.Record(d + wait)
-				res.QueueWait.Record(wait)
-				arrival = arrival.Add(d + wait)
 			}
+			res.QueueWait.Record(wait)
+			arrival = arrival.Add(d + wait)
 		}
 		if arrival > maxDone {
 			maxDone = arrival
 		}
 		// The token's next request issues when this one completes.
-		sch.At(arrival, func() { issue(si) })
+		sch.At(arrival, next[si])
+	}
+	for si := range next {
+		next[si] = func() { issue(si) }
 	}
 
 	// Prime the pump: qd tokens per stream, all issuing at the start
 	// instant, interleaved stream-by-stream for fairness.
 	for t := 0; t < qd; t++ {
 		for si := range streams {
-			si := si
-			sch.After(0, func() { issue(si) })
+			sch.After(0, next[si])
 		}
 	}
 	sch.Run()

@@ -3,6 +3,8 @@ package harness
 import (
 	"testing"
 
+	"icash/internal/core"
+	"icash/internal/sim"
 	"icash/internal/workload"
 )
 
@@ -26,9 +28,9 @@ func TestQDScalingRAID0(t *testing.T) {
 	}
 }
 
-// TestQDStations checks the per-station accounting of a concurrent run:
-// every member disk serves work, utilizations rise with queue depth,
-// and queue waits appear only when requests actually overlap.
+// TestQDStations checks the per-station accounting of the event
+// engine: every member disk serves work, utilizations rise with queue
+// depth, and queue waits appear only when requests actually overlap.
 func TestQDStations(t *testing.T) {
 	p := workload.RandRead()
 	run := func(qd int) *Result {
@@ -41,11 +43,13 @@ func TestQDStations(t *testing.T) {
 	}
 	r1, r8 := run(1), run(8)
 
-	if r1.Stations != nil {
-		t.Fatalf("serial run has station snapshots: %v", r1.Stations)
+	if len(r1.Stations) != 4 {
+		t.Fatalf("QD=1 station count %d, want 4 (one per member disk)", len(r1.Stations))
 	}
-	if r1.QueueWait.Count() != 0 {
-		t.Fatalf("serial run recorded %d queue waits", r1.QueueWait.Count())
+	// RandRead on RAID0 triggers no background work, so one request in
+	// flight never finds a member disk busy.
+	if r1.QueueWait.Sum() != 0 {
+		t.Fatalf("QD=1 run queued for %v in total, want 0", r1.QueueWait.Sum())
 	}
 	if r8.QueueDepth != 8 || r8.Streams != 1 {
 		t.Fatalf("qd/streams = %d/%d, want 8/1", r8.QueueDepth, r8.Streams)
@@ -70,6 +74,65 @@ func TestQDStations(t *testing.T) {
 	}
 	if r8.QueueWait.Count() == 0 || r8.QueueWait.Mean() == 0 {
 		t.Fatalf("QD=8 run recorded no queueing (%d waits)", r8.QueueWait.Count())
+	}
+}
+
+// TestQD1DiskNeverOverbusy is the physical-consistency check on the
+// one runner: at QD=1 on a system with one HDD, the actuator's busy
+// time during the run — foreground and background work alike — cannot
+// exceed the run's elapsed time, because the next request waits for
+// the actuator to finish whatever the previous one left it doing.
+//
+// The hdd0 station's Busy is that in-run time: every device call of
+// the run is traced and replayed onto it. Result.HDDBusy is larger by
+// the end-of-run flush, which drains write-back state after the last
+// request completes and so falls outside Elapsed; the check bounds it
+// only from below.
+func TestQD1DiskNeverOverbusy(t *testing.T) {
+	for _, p := range []workload.Profile{workload.RandWrite(), workload.SPECsfs()} {
+		opts := workload.Options{Scale: 1.0 / 256, Seed: 42}
+		br, err := RunBenchmark(p, opts, []Kind{Dedup, LRU, ICASH})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range br.Order {
+			r := br.Results[k]
+			var busy sim.Duration
+			for _, st := range r.Stations {
+				if st.Name == "hdd0" {
+					busy = st.Busy
+				}
+			}
+			if busy == 0 {
+				t.Fatalf("%s on %s: no in-run work on the hdd0 station", p.Name, k)
+			}
+			if busy > r.Elapsed {
+				t.Errorf("%s on %s: HDD busy %v in a %v run", p.Name, k, busy, r.Elapsed)
+			}
+			if busy > r.HDDBusy {
+				t.Errorf("%s on %s: station busy %v exceeds the device's %v", p.Name, k, busy, r.HDDBusy)
+			}
+		}
+	}
+}
+
+// TestWriteSweepMonotone checks the I-CASH random-write sweep does not
+// lose throughput going from QD=1 to QD=2: a second outstanding
+// request overlaps the background disk work the first one left, so the
+// run should not take longer. The options are WriteQDSweep's defaults at
+// the golden's op count.
+func TestWriteSweepMonotone(t *testing.T) {
+	throughput := func(qd int) float64 {
+		opts := workload.Options{Scale: QDSweepScale, MaxOps: 2000, Seed: 42, QueueDepth: qd,
+			TuneICASH: func(c *core.Config) { c.LogBlocks = 128 }}
+		br, err := RunBenchmark(workload.RandWrite(), opts, []Kind{ICASH})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return br.Results[ICASH].ReqPerSec
+	}
+	if q1, q2 := throughput(1), throughput(2); q2 < q1 {
+		t.Fatalf("RandWrite on I-CASH: %.0f req/s at QD=2 < %.0f at QD=1", q2, q1)
 	}
 }
 

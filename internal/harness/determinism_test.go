@@ -8,8 +8,8 @@ import (
 	"icash/internal/workload"
 )
 
-// determinismCases covers both issue paths (serial QD=1, event-engine
-// QD>1, per-VM streams) on a single-machine and a multi-VM profile.
+// determinismCases covers the runner's issue modes (QD=1, QD>1, per-VM
+// streams) on a single-machine and a multi-VM profile.
 func determinismCases() []struct {
 	name string
 	p    workload.Profile

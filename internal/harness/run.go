@@ -41,15 +41,18 @@ type Result struct {
 	PageCacheHitRatio float64
 
 	// QueueDepth and Streams describe the issue mode that produced the
-	// result: outstanding requests per stream and number of interleaved
-	// per-VM streams (1 each on the classic serial path).
+	// result: outstanding requests per stream (at least 1) and number of
+	// interleaved per-VM streams (1 unless the run used StreamPerVM).
 	QueueDepth int
 	Streams    int
-	// QueueWait is the per-block device queueing delay distribution
-	// (zero on the serial path: one request never queues).
+	// QueueWait is the per-block device queueing delay distribution,
+	// one sample per block that reached the device stack. At QD=1 with
+	// one stream it is the time requests wait for background work
+	// (log commits, destages) still occupying a station; it is zero
+	// when the system does no background work.
 	QueueWait metrics.Histogram
 	// Stations is the per-station utilization/queue accounting from the
-	// concurrency engine; nil on the serial path.
+	// event engine, one snapshot per SSD channel and HDD actuator.
 	Stations []metrics.StationStats
 
 	// SSD wear metrics (Table 6 and §5.3).
@@ -166,112 +169,9 @@ func populateSharded(sys *System, gen *workload.Generator) error {
 	return nil
 }
 
-// Run drives gen against sys to completion and collects a Result. The
-// generator must be freshly Reset; the system must be freshly built.
-// Populate is normally called first.
-//
-// The issue mode comes from the generator's options: QueueDepth <= 1
-// with a single stream takes the classic serial path (one request at a
-// time on the shared clock — bit-identical to the pre-engine harness);
-// anything else runs on the discrete-event engine with overlapping
-// requests.
-func Run(sys *System, gen *workload.Generator) (*Result, error) {
-	opts := gen.Options()
-	qd := opts.QueueDepth
-	if qd < 1 {
-		qd = 1
-	}
-	streams := []*workload.Generator{gen}
-	if opts.StreamPerVM {
-		if vs := gen.VMStreams(); vs != nil {
-			streams = vs
-		}
-	}
-	if qd <= 1 && len(streams) == 1 {
-		return runSerial(sys, gen)
-	}
-	return runConcurrent(sys, gen, streams, qd)
-}
-
-// runSerial is the classic one-request-at-a-time path: the clock
-// advances by each request's full service time before the next request
-// issues. Kept verbatim so QD=1 single-stream results stay bit-identical
-// across the engine's introduction.
-func runSerial(sys *System, gen *workload.Generator) (*Result, error) {
-	p := gen.Profile()
-	res := &Result{System: sys.Name(), Benchmark: p.Name}
-	sys.SetFill(gen.Fill)
-
-	// Guest page cache: the profile's PCFraction of VM RAM, scaled like
-	// the data set (databases with direct I/O barely use it; file and
-	// mail servers cache aggressively).
-	frac := p.PCFraction
-	if frac <= 0 {
-		frac = 0.25
-	}
-	pcBlocks := int(frac * float64(p.VMRAMBytes/blockdev.BlockSize) *
-		float64(gen.DataBlocks()) / float64(p.DataBlocks()))
-	pc := newPageCache(pcBlocks)
-
-	clock := sys.Clock
-	buf := blockdev.GetBlock()
-	defer blockdev.PutBlock(buf)
-	start := clock.Now()
-
-	for {
-		req, ok := gen.Next()
-		if !ok {
-			break
-		}
-		res.Ops++
-		sys.CPU.ChargeApp(p.AppCPU)
-		clock.Advance(p.AppCPU)
-		for i := 0; i < req.Blocks; i++ {
-			lba := req.LBA + int64(i)
-			if lba >= sys.Dev.Blocks() {
-				break
-			}
-			if req.Write {
-				gen.WriteContent(lba, buf)
-				d, err := sys.Dev.WriteBlock(lba, buf)
-				if err != nil {
-					return nil, fmt.Errorf("harness: %s write lba %d: %w", sys.Name(), lba, err)
-				}
-				pc.insert(lba)
-				res.Writes++
-				res.WriteHist.Record(d)
-				clock.Advance(d)
-			} else {
-				if pc.lookup(lba) {
-					res.ReadHist.Record(pageCacheHitLatency)
-					clock.Advance(pageCacheHitLatency)
-					continue
-				}
-				d, err := sys.Dev.ReadBlock(lba, buf)
-				if err != nil {
-					return nil, fmt.Errorf("harness: %s read lba %d: %w", sys.Name(), lba, err)
-				}
-				pc.insert(lba)
-				res.Reads++
-				res.ReadHist.Record(d)
-				clock.Advance(d)
-			}
-		}
-	}
-	if err := sys.Flush(); err != nil {
-		return nil, fmt.Errorf("harness: %s flush: %w", sys.Name(), err)
-	}
-
-	res.QueueDepth = 1
-	res.Streams = 1
-	res.PageCacheHitRatio = pc.hitRatio()
-	finalize(sys, res, p, start)
-	return res, nil
-}
-
 // finalize computes the derived measurements of a finished run (rates,
 // CPU utilization, device and power accounting) from the system's
-// current state. Shared by the serial and concurrent paths.
+// current state.
 func finalize(sys *System, res *Result, p workload.Profile, start sim.Time) {
 	clock := sys.Clock
 	res.Elapsed = clock.Now().Sub(start)

@@ -94,8 +94,8 @@ type BuildConfig struct {
 
 	// SlowDetector enables the fail-slow detector: station service
 	// times feed a windowed-p99 watch (thresholds in instrument), and
-	// the concurrent runner quarantines / re-admits the I-CASH SSD as
-	// the flag flips.
+	// ServeBlock quarantines / re-admits the I-CASH SSD as the flag
+	// flips.
 	SlowDetector bool
 }
 
@@ -141,16 +141,18 @@ type System struct {
 	SSDFault *fault.Device
 	HDDFault *fault.Device
 
-	// Tracer and Stations are the concurrency-engine hookup: every SSD
+	// Stations and tracer are the event-engine hookup: every SSD
 	// channel and HDD actuator is a service station, and devices note
-	// their per-request service times through the tracer. The serial
-	// (QD=1) path never begins a trace, so the stations stay idle there.
-	Tracer   *event.Tracer
+	// their per-request service times through the tracer. ServeBlock is
+	// the only code that begins a trace; it traces every block a runner
+	// issues, so the stations see all the work the devices do,
+	// background writes included.
 	Stations []*event.Server
+	tracer   *event.Tracer
 
 	// Detector, when the build enabled it, watches station service
-	// times; the concurrent runner polls it between requests to drive
-	// SSD quarantine and re-admission on the I-CASH controller.
+	// times; ServeBlock polls it after every block to drive SSD
+	// quarantine and re-admission on the I-CASH controller.
 	Detector *fault.Detector
 
 	flush func() error
@@ -266,7 +268,7 @@ func (s *System) instrument(cfg BuildConfig) {
 		slowSSDThreshold = 2 * sim.Millisecond
 		slowHDDThreshold = 100 * sim.Millisecond
 	)
-	s.Tracer = event.NewTracer()
+	s.tracer = event.NewTracer()
 	var ssdPlan, hddPlan *fault.Schedule
 	if cfg.FaultSSD != nil {
 		ssdPlan = cfg.FaultSSD.Plan
@@ -294,14 +296,14 @@ func (s *System) instrument(cfg BuildConfig) {
 			watch(chans[i], slowSSDThreshold)
 			s.Stations = append(s.Stations, chans[i])
 		}
-		dev.Instrument(s.Tracer, chans)
+		dev.Instrument(s.tracer, chans)
 	}
 	addHDD := func(h *hdd.Device, name string) {
 		srv := event.NewServer(name, event.DefaultQueueCap)
 		srv.SetShaper(hddPlan.Shaper(srv.Name()))
 		watch(srv, slowHDDThreshold)
 		s.Stations = append(s.Stations, srv)
-		h.Instrument(s.Tracer, srv)
+		h.Instrument(s.tracer, srv)
 	}
 	if s.Sharded != nil {
 		// I-CASH: shard i's stations live under its namespace, so on a
@@ -431,8 +433,8 @@ func Build(kind Kind, cfg BuildConfig) (*System, error) {
 }
 
 // PollDetector drives SSD quarantine and re-admission on the I-CASH
-// controller from the slow-device detector's current verdict. The
-// concurrent runner calls it after every replayed block, so a flagged
+// controller from the slow-device detector's current verdict.
+// ServeBlock calls it after every replayed block, so a flagged
 // station sidetracks the SSD within one request and a recovered one
 // re-admits it just as promptly. No-op when the build did not ask for
 // a detector or the system is not I-CASH. Quarantine is per shard: a
@@ -445,6 +447,26 @@ func (s *System) PollDetector() {
 	for i, name := range s.shardSSDNames {
 		s.Sharded.Shard(i).SetSSDQuarantined(s.Detector.AnySlow(name))
 	}
+}
+
+// ServeBlock is the one trace-and-replay step every runner uses: it
+// walks one block read (write false) or write through the device stack
+// with the tracer on, replays the station visits the devices noted onto
+// the station timelines starting at arrival, and polls the slow-device
+// detector. It returns the block's uncontended service time d and the
+// queueing delay wait it met; its response time is d + wait. Visits
+// are replayed even when the device returns an error, since a failed
+// operation still occupied its stations.
+func (s *System) ServeBlock(write bool, lba int64, buf []byte, arrival sim.Time) (d, wait sim.Duration, err error) {
+	s.tracer.Begin()
+	if write {
+		d, err = s.Dev.WriteBlock(lba, buf)
+	} else {
+		d, err = s.Dev.ReadBlock(lba, buf)
+	}
+	wait = event.Replay(s.tracer.Take(), arrival)
+	s.PollDetector()
+	return d, wait, err
 }
 
 // icashConfig sizes one I-CASH controller over dataBlocks virtual

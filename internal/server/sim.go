@@ -110,36 +110,31 @@ func (r *ServeResult) Report() string {
 	return b.String()
 }
 
-// simBackend adapts a harness system to the session Backend, replaying
-// every device walk onto the station timelines from the current frame
-// arrival — the same trace-and-replay contract as the in-process
-// concurrent runner. The arrival cursor is simulated bookkeeping, not
-// the clock: only the event scheduler moves time.
+// simBackend adapts a harness system to the session Backend, serving
+// every block through System.ServeBlock from the current frame arrival
+// — the same trace-and-replay step as the in-process runner. The
+// arrival cursor is simulated bookkeeping, not the clock: only the
+// event scheduler moves time.
 type simBackend struct {
 	sys     *harness.System
 	arrival sim.Time
 }
 
 func (b *simBackend) ReadBlock(lba int64, buf []byte) (sim.Duration, error) {
-	b.sys.Tracer.Begin()
-	d, err := b.sys.Dev.ReadBlock(lba, buf)
-	if err != nil {
-		return d, err
-	}
-	wait := event.Replay(b.sys.Tracer.Take(), b.arrival)
-	b.sys.PollDetector()
-	b.arrival = b.arrival.Add(d + wait)
-	return d + wait, nil
+	return b.serve(false, lba, buf)
 }
 
 func (b *simBackend) WriteBlock(lba int64, buf []byte) (sim.Duration, error) {
-	b.sys.Tracer.Begin()
-	d, err := b.sys.Dev.WriteBlock(lba, buf)
+	return b.serve(true, lba, buf)
+}
+
+// serve runs one block and moves the arrival cursor past it. A failed
+// block reports the device's time and leaves the cursor where it was.
+func (b *simBackend) serve(write bool, lba int64, buf []byte) (sim.Duration, error) {
+	d, wait, err := b.sys.ServeBlock(write, lba, buf, b.arrival)
 	if err != nil {
 		return d, err
 	}
-	wait := event.Replay(b.sys.Tracer.Take(), b.arrival)
-	b.sys.PollDetector()
 	b.arrival = b.arrival.Add(d + wait)
 	return d + wait, nil
 }

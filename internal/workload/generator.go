@@ -28,8 +28,8 @@ type Options struct {
 	// Seed makes the stream reproducible.
 	Seed uint64
 	// QueueDepth is the number of outstanding requests each stream keeps
-	// in flight (closed-loop issue). 0 or 1 selects the classic serial
-	// path: one request at a time.
+	// in flight (closed-loop issue). 0 counts as 1: one request at a
+	// time, each issuing when the previous one completes.
 	QueueDepth int
 	// StreamPerVM splits a multi-VM profile into one independent
 	// generator per VM, interleaved by virtual arrival time, instead of
