@@ -40,7 +40,7 @@ bench-profile: ## full figure suite with CPU + heap profiles (cpu.prof, mem.prof
 
 alloc-gate: ## hot-path allocation gates + allocs/op benchmarks (must run WITHOUT -race)
 	$(GO) test -run 'TestAllocGate' -count=1 ./internal/delta/ ./internal/blockdev/ ./internal/core/ ./internal/harness/
-	$(GO) test -bench 'AppendEncode|AppendDecode|Size' -benchtime 1000x -benchmem -run '^$$' ./internal/delta/
+	$(GO) test -bench 'AppendEncode|AppendDecode|Size|EvictDataRAM|JournalCommit|SSDOp|HDDOp' -benchtime 1000x -benchmem -run '^$$' ./internal/delta/ ./internal/core/ ./internal/ssd/ ./internal/hdd/
 
 fuzz-smoke: ## 10s per fuzz target, seeded from testdata corpora
 	$(GO) test ./internal/delta -fuzz FuzzDeltaRoundTrip -fuzztime 10s

@@ -122,6 +122,11 @@ type Controller struct {
 	txnLive map[uint64]int
 	// txnBlocks lists the log blocks of each tracked transaction.
 	txnBlocks map[uint64][]int64
+	// heldLogBlocks counts the tracked log blocks whose transaction has
+	// live records (txnLive > 0). Together with badLogBlocks these are
+	// exactly the blocks logBlockFree refuses, so the free count is a
+	// subtraction instead of a lap of the log (see addTxnLive).
+	heldLogBlocks int64
 	// metaPool recycles entryMeta slices between packed log blocks.
 	metaPool [][]entryMeta
 	// txnBlocksPool recycles the per-transaction block lists, so the
@@ -134,6 +139,9 @@ type Controller struct {
 	pendingScratch []logEntry
 	partScratch    []txnPart
 	rescueScratch  []logEntry
+	// skipScratch holds the data blocks evictOneDataRAM sets aside while
+	// it searches past them, restored before it returns.
+	skipScratch []*vblock
 	// shedScratch is shedLogPressure's reusable victim batch: evictions
 	// are collected in LRU order, then written back in home-LBA order so
 	// the HDD sweeps them with short forward seeks.
@@ -189,9 +197,25 @@ type Controller struct {
 	// entry (see scratch.go).
 	scratch [][]byte
 
+	// victimCheck, when set, sees every victim an eviction path picks
+	// from the class heaps, before the controller acts on it: the blocks
+	// passed over (keep, pinned, failed write-backs) and the pick, nil
+	// when none qualified. Tests use it to compare the heaps against a
+	// tail scan of the LRU.
+	victimCheck func(site victimSite, keep, victim *vblock, skipped []*vblock)
+
 	// Stats is externally visible accounting.
 	Stats Stats
 }
+
+// victimSite names the eviction path reporting to victimCheck.
+type victimSite uint8
+
+const (
+	siteEvictData victimSite = iota
+	siteReclaimWriteThrough
+	siteReclaimSlot
+)
 
 // New builds a controller over the given SSD and HDD devices. The HDD
 // must be at least cfg.VirtualBlocks+cfg.LogBlocks large; the SSD at
@@ -384,6 +408,7 @@ func (c *Controller) cacheData(v *vblock, content []byte, dirty bool) error {
 		// Pooled: releaseData is the matching Put. The copy below fully
 		// overwrites whatever the recycled buffer held.
 		v.dataRAM = blockdev.GetBlock()
+		c.lru.sync(v)
 	}
 	copy(v.dataRAM, content)
 	v.dataDirty = dirty
@@ -399,29 +424,54 @@ func (c *Controller) releaseData(v *vblock) {
 	if v.dataRAM != nil {
 		blockdev.PutBlock(v.dataRAM)
 		v.dataRAM = nil
+		c.lru.sync(v)
 		c.dataBudget.Release(blockdev.BlockSize)
 	}
 }
 
-// evictOneDataRAM frees one cached data block, searching from the LRU
-// tail (paper's data-block replacement, §4.3). keep is exempt. Reports
-// whether anything was freed.
+// setKind reclassifies v. The kind decides write-through membership, so
+// every reclassification goes through here.
+func (c *Controller) setKind(v *vblock, k Kind) {
+	v.kind = k
+	c.lru.sync(v)
+}
+
+// evictOneDataRAM frees the coldest cached data block (paper's
+// data-block replacement, §4.3). keep and the pinned block are exempt,
+// and so is a dirty block whose write-back fails; the blocks passed
+// over leave the data heap while the search goes on and rejoin it
+// after. Reports whether anything was freed.
 func (c *Controller) evictOneDataRAM(keep *vblock) bool {
-	for v := c.lru.tail; v != nil; v = v.prev {
-		if v == keep || v == c.pinned || v.dataRAM == nil {
-			continue
+	skipped := c.skipScratch[:0]
+	var victim *vblock
+	for {
+		v := c.lru.coldest(classData, nil)
+		if v == nil {
+			break
 		}
-		if v.dataDirty {
-			// Only copy: make it durable at the home location first.
-			if err := c.writeHome(v, v.dataRAM); err != nil {
-				continue
-			}
+		// A dirty block is the only copy: make it durable at the home
+		// location first.
+		if v != keep && v != c.pinned && (!v.dataDirty || c.writeHome(v, v.dataRAM) == nil) {
+			victim = v
+			break
 		}
-		c.releaseData(v)
-		c.Stats.EvictDataRAM++
-		return true
+		c.lru.leave(classData, v)
+		skipped = append(skipped, v)
 	}
-	return false
+	if c.victimCheck != nil {
+		c.victimCheck(siteEvictData, keep, victim, skipped)
+	}
+	for _, v := range skipped {
+		c.lru.sync(v)
+	}
+	clear(skipped)
+	c.skipScratch = skipped[:0]
+	if victim == nil {
+		return false
+	}
+	c.releaseData(victim)
+	c.Stats.EvictDataRAM++
+	return true
 }
 
 // storeDelta installs enc as v's RAM delta, adjusting the segment-based

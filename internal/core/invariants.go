@@ -14,7 +14,11 @@ import "fmt"
 //   - the delta budget equals the segment-rounded sum of resident
 //     deltas, and the data budget equals the resident data blocks;
 //   - logIndex entries point at blocks the cleaner still tracks
-//     (logMeta), and perLba counts match the per-block record census.
+//     (logMeta), and perLba counts match the per-block record census;
+//   - LRU stamps fall strictly from head to tail, and each class heap
+//     holds exactly the blocks of its class, in heap order;
+//   - heldLogBlocks equals a recount of the blocks held by
+//     transactions with live records.
 func (c *Controller) CheckInvariants() error {
 	// LRU <-> map agreement.
 	seen := make(map[int64]bool, c.lru.len())
@@ -35,6 +39,9 @@ func (c *Controller) CheckInvariants() error {
 	if n != len(c.blocks) || n != c.lru.len() {
 		return fmt.Errorf("core: LRU has %d blocks, map has %d, count says %d",
 			n, len(c.blocks), c.lru.len())
+	}
+	if err := c.lru.check(); err != nil {
+		return err
 	}
 
 	// Slot refcounts and partition of SSD slots.
@@ -201,11 +208,51 @@ func (c *Controller) CheckInvariants() error {
 			return fmt.Errorf("core: txnLive[%d]=%d, census says %d", t, live, txnCensus[t])
 		}
 	}
+	var held int64
+	for _, t := range c.blockTxn {
+		if c.txnLive[t] > 0 {
+			held++
+		}
+	}
+	if held != c.heldLogBlocks {
+		return fmt.Errorf("core: heldLogBlocks=%d, recount says %d", c.heldLogBlocks, held)
+	}
 
 	// Dirty-queue membership flags.
 	for _, v := range c.dirtyQ {
 		if v.inDirty && v.dead {
 			return fmt.Errorf("core: dead block %d marked dirty", v.lba)
+		}
+	}
+	return nil
+}
+
+// check recounts the stamp order and the class heaps from the list.
+func (l *lruList) check() error {
+	var members [numClasses]int
+	for v := l.head; v != nil; v = v.next {
+		if v.stamp == 0 || v.stamp > l.clock || (v.next != nil && v.next.stamp >= v.stamp) {
+			return fmt.Errorf("core: LRU block %d has stamp %d out of order", v.lba, v.stamp)
+		}
+		for cls := lruClass(0); cls < numClasses; cls++ {
+			h, p := l.heaps[cls], int(v.heapPos[cls])
+			in := p > 0 && p <= len(h) && h[p-1] == v
+			if in != cls.member(v) || (!in && p != 0) {
+				return fmt.Errorf("core: LRU block %d: class %d heap position %d, member=%v", v.lba, cls, p, cls.member(v))
+			}
+			if in {
+				members[cls]++
+			}
+		}
+	}
+	for cls, h := range l.heaps {
+		if len(h) != members[cls] {
+			return fmt.Errorf("core: class %d heap holds %d blocks, LRU has %d members", cls, len(h), members[cls])
+		}
+		for i := 1; i < len(h); i++ {
+			if h[(i-1)/2].stamp > h[i].stamp {
+				return fmt.Errorf("core: class %d heap out of order at %d", cls, i)
+			}
 		}
 	}
 	return nil

@@ -91,15 +91,28 @@ func (a *logBlockAlloc) take() (int64, bool) {
 }
 
 // countFreeLogBlocks counts the overwritable blocks one frontier lap
-// would find.
+// would find. A lap visits every block once, so that is every block
+// that is neither retired nor held by a transaction with live records.
 func (c *Controller) countFreeLogBlocks() int64 {
-	a := c.newLogAlloc()
-	n := int64(0)
-	for {
-		if _, ok := a.take(); !ok {
-			return n
+	return c.cfg.LogBlocks - int64(len(c.badLogBlocks)) - c.heldLogBlocks
+}
+
+// addTxnLive adjusts transaction t's live-record count by d. When the
+// count crosses zero, t's blocks become held or free as a group: this
+// is the one place heldLogBlocks follows txnLive. A freshly published
+// transaction has no live records until setLogIndex points at its
+// records, so publication and replay reach heldLogBlocks through here.
+func (c *Controller) addTxnLive(t uint64, d int) {
+	before := c.txnLive[t]
+	after := before + d
+	c.txnLive[t] = after
+	if (before > 0) != (after > 0) {
+		n := int64(len(c.txnBlocks[t]))
+		if after > 0 {
+			c.heldLogBlocks += n
+		} else {
+			c.heldLogBlocks -= n
 		}
-		n++
 	}
 }
 
@@ -164,6 +177,9 @@ func (c *Controller) forgetLogBlock(b int64) {
 		return
 	}
 	delete(c.blockTxn, b)
+	if c.txnLive[t] > 0 {
+		c.heldLogBlocks--
+	}
 	blocks := c.txnBlocks[t]
 	for i, bb := range blocks {
 		if bb == b {

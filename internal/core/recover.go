@@ -187,9 +187,9 @@ func (c *Controller) replayLog() error {
 				s.donor = lba
 			}
 			if e.flags&flagReference != 0 {
-				v.kind = Reference
+				c.setKind(v, Reference)
 			} else {
-				v.kind = Independent
+				c.setKind(v, Independent)
 			}
 			c.blocks[lba] = v
 			c.lru.pushFront(v)
@@ -206,9 +206,9 @@ func (c *Controller) replayLog() error {
 			c.attachSlot(v, s)
 			if e.flags&flagDonor != 0 {
 				s.donor = lba
-				v.kind = Reference
+				c.setKind(v, Reference)
 			} else {
-				v.kind = Associate
+				c.setKind(v, Associate)
 			}
 			// Best effort RAM install; the log copy remains the durable
 			// source either way.

@@ -178,7 +178,7 @@ func (c *Controller) tryAttach(v *vblock, s *refSlot) (bool, error) {
 	}
 	c.attachSlot(v, s)
 	c.promoteDonor(s)
-	v.kind = Associate
+	c.setKind(v, Associate)
 	v.sigv = s.sigv // identity now refers to the reference content
 	v.dataDirty = false
 	c.Stats.AssocFormed++

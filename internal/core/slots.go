@@ -65,6 +65,7 @@ func (c *Controller) attachSlot(v *vblock, s *refSlot) {
 		c.freeSlots = removeIndex(c.freeSlots, s.index)
 	}
 	v.slotRef = s
+	c.lru.sync(v)
 	s.refcnt++
 }
 
@@ -87,6 +88,7 @@ func (c *Controller) detachSlot(v *vblock) {
 	s := v.slotRef
 	v.slotRef = nil
 	v.ssdCurrent = false
+	c.lru.sync(v)
 	if s == nil {
 		return
 	}
@@ -103,60 +105,49 @@ func (c *Controller) detachSlot(v *vblock) {
 // associations on the write path would be far more expensive than the
 // RAM fallback.
 func (c *Controller) reclaimWriteThrough() error {
-	for v := c.lru.tail; v != nil; v = v.prev {
-		if v == c.pinned || v.slotRef == nil || v.kind != Independent {
-			continue
-		}
-		if err := c.evictToHome(v); err != nil {
-			return err
-		}
-		if len(c.quarantine) > 0 && len(c.freeSlots) == 0 {
-			return c.commitJournal()
-		}
+	v := c.lru.coldest(classWriteThrough, c.pinned)
+	if c.victimCheck != nil {
+		c.victimCheck(siteReclaimWriteThrough, nil, v, nil)
+	}
+	if v == nil {
 		return nil
+	}
+	if err := c.evictToHome(v); err != nil {
+		return err
+	}
+	if len(c.quarantine) > 0 && len(c.freeSlots) == 0 {
+		return c.commitJournal()
+	}
+	return nil
+}
+
+// coldestDonorOnly returns the coldest unpinned reference whose slot
+// has no other dependents, searching from the LRU tail.
+func (c *Controller) coldestDonorOnly() *vblock {
+	for v := c.lru.tail; v != nil; v = v.prev {
+		if v != c.pinned && v.kind == Reference && v.slotRef != nil && v.slotRef.refcnt == 1 {
+			return v
+		}
 	}
 	return nil
 }
 
 // canReclaimSlot reports whether reclaimSlot would find a victim.
 func (c *Controller) canReclaimSlot() bool {
-	for v := c.lru.tail; v != nil; v = v.prev {
-		if v == c.pinned || v.slotRef == nil {
-			continue
-		}
-		if v.kind == Independent {
-			return true
-		}
-		if v.kind == Reference && v.slotRef.refcnt == 1 {
-			return true
-		}
-	}
-	return false
+	return c.lru.coldest(classWriteThrough, c.pinned) != nil || c.coldestDonorOnly() != nil
 }
 
-// reclaimSlot tries to free one SSD slot by evicting, from the LRU tail,
-// first a cold write-through independent and then a donor-only
-// reference. Shared reference slots are never broken up here (the scan
+// reclaimSlot tries to free one SSD slot by evicting first the coldest
+// write-through independent and then the coldest donor-only reference.
+// Shared reference slots are never broken up here (the scan
 // reorganizes those).
 func (c *Controller) reclaimSlot() {
-	var writeThrough, donorOnly *vblock
-	for v := c.lru.tail; v != nil; v = v.prev {
-		if v == c.pinned || v.slotRef == nil {
-			continue
-		}
-		if v.kind == Independent && writeThrough == nil {
-			writeThrough = v
-		}
-		if v.kind == Reference && v.slotRef.refcnt == 1 && donorOnly == nil {
-			donorOnly = v
-		}
-		if writeThrough != nil {
-			break
-		}
-	}
-	victim := writeThrough
+	victim := c.lru.coldest(classWriteThrough, c.pinned)
 	if victim == nil {
-		victim = donorOnly
+		victim = c.coldestDonorOnly()
+	}
+	if c.victimCheck != nil {
+		c.victimCheck(siteReclaimSlot, nil, victim, nil)
 	}
 	if victim == nil {
 		return
@@ -179,7 +170,7 @@ func (c *Controller) promoteDonor(s *refSlot) {
 		return
 	}
 	if donor.kind == Independent && donor.ssdCurrent {
-		donor.kind = Reference
+		c.setKind(donor, Reference)
 	}
 }
 
@@ -334,7 +325,7 @@ func (c *Controller) writeThroughSSD(v *vblock, content []byte) (sim.Duration, e
 		// in RAM instead; eviction will write it home. A tombstone
 		// supersedes any durable delta/pointer record left behind.
 		c.releaseDelta(v)
-		v.kind = Independent
+		c.setKind(v, Independent)
 		v.hddHome = false
 		if rec, ok := c.logIndex[v.lba]; ok && rec.kind != entryTombstone {
 			c.queueControl(logEntry{kind: entryTombstone, lba: v.lba})
@@ -365,7 +356,7 @@ func (c *Controller) writeThroughSSD(v *vblock, content []byte) (sim.Duration, e
 			c.discardSlot(s, retire)
 		}
 		c.releaseDelta(v)
-		v.kind = Independent
+		c.setKind(v, Independent)
 		v.hddHome = false
 		if rec, ok := c.logIndex[v.lba]; !ok || rec.kind != entryTombstone {
 			c.queueControl(logEntry{kind: entryTombstone, lba: v.lba})
@@ -385,7 +376,7 @@ func (c *Controller) writeThroughSSD(v *vblock, content []byte) (sim.Duration, e
 	s.crc = contentCRC(content)
 	s.homeLBA = -1 // write-throughs have no home backup (home is stale)
 	c.releaseDelta(v)
-	v.kind = Independent
+	c.setKind(v, Independent)
 	v.ssdCurrent = true
 	v.hddHome = false
 	if err := c.cacheData(v, content, false); err != nil {
@@ -437,7 +428,7 @@ func (c *Controller) installReference(v *vblock, content []byte) (*refSlot, erro
 	c.attachSlot(v, s)
 	s.donor = v.lba
 	s.sigv = v.sigv
-	v.kind = Reference
+	c.setKind(v, Reference)
 	v.ssdCurrent = true
 	v.dataDirty = false // the SSD slot is now a durable current copy
 	c.releaseDelta(v)

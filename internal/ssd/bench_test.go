@@ -1,0 +1,41 @@
+package ssd
+
+import (
+	"testing"
+
+	"icash/internal/blockdev"
+	"icash/internal/sim"
+)
+
+// BenchmarkSSDOp times one 4 KB operation of the flash model on a full
+// 4096-block drive: a random overwrite (garbage collection included,
+// amortized) and a random read.
+func BenchmarkSSDOp(b *testing.B) {
+	const capacity = 4096
+	for _, op := range []string{"write", "read"} {
+		b.Run(op, func(b *testing.B) {
+			d := New(DefaultConfig(capacity))
+			buf := make([]byte, blockdev.BlockSize)
+			for lba := int64(0); lba < capacity; lba++ {
+				if _, err := d.WriteBlock(lba, buf); err != nil {
+					b.Fatal(err)
+				}
+			}
+			r := sim.NewRand(7)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				lba := int64(r.Intn(capacity))
+				var err error
+				if op == "write" {
+					_, err = d.WriteBlock(lba, buf)
+				} else {
+					_, err = d.ReadBlock(lba, buf)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
